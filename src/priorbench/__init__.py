@@ -6,14 +6,13 @@ from .bench import (DIFFUSION_STEP_RANGE, FLOW_STEP_RANGE, LatencyProtocol,
                     LatencyResult, ParetoPoint, SurrogatePipeline,
                     default_step_range, make_sampler_invocation,
                     measure_latency, pareto_sweep, per_step_cost)
-from .config import (RunConfig, RunManifest, TaskSettings, load_run_config,
-                     manifest_for, resolve_run_dir, run_root)
-from .data import (ConditionSpec, Dataset, default_task, generate_dataset,
-                   ground_truth_sample, hard_task, load_dataset, make_task,
-                   save_dataset, task_embeddings)
-from .errors import (ConfigError, DegenerateInputError, DivergenceError,
-                     EvaluationError, InvalidMatrixError, PriorBenchError,
-                     ProtocolError)
+from .config import (RunConfig, RunManifest, load_run_config, manifest_for,
+                     resolve_run_dir, run_root)
+from .data import (ConditionSpec, Dataset, TaskSettings, default_task,
+                   generate_dataset, ground_truth_sample, make_task)
+from .errors import (CheckpointError, ConfigError, DegenerateInputError,
+                     DivergenceError, EvaluationError, InvalidMatrixError,
+                     PriorBenchError, ProtocolError)
 from .evaluation import EvalSettings, evaluate, generate_latents
 from .linalg import (GaussianStats, estimate_moments, jacobi_eigh,
                      psd_matrix_sqrt)

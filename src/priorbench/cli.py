@@ -8,9 +8,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bench import (LatencyProtocol, SurrogatePipeline, default_step_range,
+from .bench import (SurrogatePipeline, default_step_range,
                     make_sampler_invocation, measure_latency, pareto_sweep)
-from .config import (RunConfig, load_run_config, manifest_for, resolve_run_dir)
+from .config import (MANIFEST_NAME, RunConfig, check_checkpoint, load_run_config,
+                     manifest_for, resolve_run_dir)
 from .data import generate_dataset, make_task
 from .errors import ConfigError, PriorBenchError
 from .evaluation import evaluate
@@ -65,24 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path, **overrides) -> RunConfig:
-    if path is not None:
-        return load_run_config(path, overrides=overrides)
-    cfg = RunConfig()
-    from .training import TrainConfig
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key == "epochs":
-            continue
-        setattr(cfg, key, value)
-    cfg.training = TrainConfig(objective=cfg.objective, seed=cfg.seed)
-    if overrides.get("epochs") is not None:
-        cfg.training.epochs = overrides["epochs"]
-    cfg.validate()
-    return cfg
-
-
 def _task_context(cfg: RunConfig):
     specs = make_task(cfg.task.conditions, cfg.task.dim, cfg.task.task_seed,
                       anisotropic=cfg.task.anisotropic)
@@ -92,13 +75,13 @@ def _task_context(cfg: RunConfig):
 
 
 def _cmd_train(args) -> int:
-    cfg = _load_config(args.config, objective=args.objective, seed=args.seed,
-                       run_id=args.run_id, epochs=args.epochs)
+    cfg = load_run_config(args.config, {"objective": args.objective, "seed": args.seed,
+                                        "run_id": args.run_id, "epochs": args.epochs})
     specs, dataset, space = _task_context(cfg)
     run_id = cfg.run_id or f"{cfg.objective}-s{cfg.seed}"
     run_dir = resolve_run_dir(run_id)
     os.makedirs(run_dir, exist_ok=True)
-    manifest_for(cfg, run_dir).save(os.path.join(run_dir, "manifest.ini"))
+    manifest_for(cfg).save(os.path.join(run_dir, MANIFEST_NAME))
     record = train(specs, dataset, cfg.training, run_dir, space=space)
     print(f"run directory: {run_dir}")
     print(f"epochs completed: {record.epochs_completed}")
@@ -109,10 +92,17 @@ def _cmd_train(args) -> int:
 
 
 def _checkpoint_context(args):
+    """Checkpoint plus the run context it is scored in: ``--config`` if given,
+    else the ``manifest.ini`` beside the checkpoint, else defaults."""
     if not os.path.exists(args.checkpoint):
         raise OSError(f"checkpoint not found: {args.checkpoint}")
     net, meta = load_checkpoint(args.checkpoint)
-    cfg = _load_config(args.config)
+    config_path = args.config
+    if config_path is None:
+        manifest = os.path.join(os.path.dirname(args.checkpoint), MANIFEST_NAME)
+        config_path = manifest if os.path.exists(manifest) else None
+    cfg = load_run_config(config_path)
+    check_checkpoint(cfg, net, meta)
     objective = meta.get("objective", cfg.objective)
     specs, dataset, space = _task_context(cfg)
     schedule = build_scaled_linear_schedule(cfg.training.schedule_steps,

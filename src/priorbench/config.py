@@ -3,18 +3,19 @@
 Flat INI-style key-value text with sections, parsed by configparser.  Every
 key has a default; a config file only states what it overrides.  Validation
 failures name the offending field as ``section.key`` so CLI diagnostics stay
-actionable.
+actionable.  A run's ``manifest.ini`` is written in the same schema, so it is
+itself a valid config file.
 """
 
 import configparser
 import hashlib
 import os
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .bench import LatencyProtocol
-from .data import DEFAULT_CONDITIONS, DEFAULT_DIM, DEFAULT_TASK_SEED
+from .data import TaskSettings
 from .errors import ConfigError
-from .evaluation import EvalSettings
 from .training import TrainConfig
 
 RUN_ROOT_ENV = "PRIORBENCH_RUNS"
@@ -24,33 +25,59 @@ MANIFEST_NAME = "manifest.ini"
 _BOOL_WORDS = {"true": True, "1": True, "yes": True,
                "false": False, "0": False, "no": False}
 
+# Every INI key, as (section, key), and the RunConfig attribute it sets.  A
+# key's type is the type of its attribute's default.
+SCHEMA = {
+    ("run", "id"): "run_id",
+    ("run", "objective"): "training.objective",
+    ("run", "seed"): "training.seed",
+    ("task", "conditions"): "task.conditions",
+    ("task", "dim"): "task.dim",
+    ("task", "task_seed"): "task.task_seed",
+    ("task", "anisotropic"): "task.anisotropic",
+    ("task", "n_per_condition"): "task.n_per_condition",
+    ("training", "epochs"): "training.epochs",
+    ("training", "batch_size"): "training.batch_size",
+    ("training", "lr"): "training.lr",
+    ("training", "beta1"): "training.beta1",
+    ("training", "beta2"): "training.beta2",
+    ("training", "weight_decay"): "training.weight_decay",
+    ("training", "eval_every"): "training.eval_every",
+    ("schedule", "steps"): "training.schedule_steps",
+    ("schedule", "beta_start"): "training.beta_start",
+    ("schedule", "beta_end"): "training.beta_end",
+    ("network", "hidden"): "training.hidden",
+    ("network", "time_dim"): "training.d_time",
+    ("network", "time_base"): "training.time_base",
+    ("eval", "n_generate"): "training.eval.n_generate",
+    ("eval", "diffusion_steps"): "training.eval.diffusion_steps",
+    ("eval", "flow_steps"): "training.eval.flow_steps",
+    ("eval", "diversity_pairs"): "training.eval.diversity_pairs",
+    ("eval", "multimodality_reps"): "training.eval.multimodality_reps",
+    ("latency", "batch_size"): "latency.batch_size",
+    ("latency", "warmup"): "latency.warmup",
+    ("latency", "timed"): "latency.timed",
+    ("latency", "mode"): "latency.mode",
+}
 
-@dataclass
-class TaskSettings:
-    conditions: int = DEFAULT_CONDITIONS
-    dim: int = DEFAULT_DIM
-    task_seed: int = DEFAULT_TASK_SEED
-    anisotropic: bool = False
-    n_per_condition: int = 1000
-
-    def validate(self) -> None:
-        if self.conditions < 2:
-            raise ConfigError(f"task.conditions: need >= 2, got {self.conditions}")
-        if self.dim < 1:
-            raise ConfigError(f"task.dim: need >= 1, got {self.dim}")
-        if self.n_per_condition < 10:
-            raise ConfigError(
-                f"task.n_per_condition: need >= 10, got {self.n_per_condition}")
+# Fields the ``train`` command's flags override, named by attribute.
+_OVERRIDABLE = ("run_id", "objective", "seed", "epochs")
 
 
 @dataclass
 class RunConfig:
     run_id: str = ""   # empty: callers derive one from objective and seed
-    objective: str = "flow"
-    seed: int = 0
     task: TaskSettings = field(default_factory=TaskSettings)
-    training: TrainConfig = None
+    training: TrainConfig = field(default_factory=lambda: TrainConfig(objective="flow"))
     latency: LatencyProtocol = field(default_factory=LatencyProtocol)
+
+    @property
+    def objective(self) -> str:
+        return self.training.objective
+
+    @property
+    def seed(self) -> int:
+        return self.training.seed
 
     def validate(self) -> None:
         self.task.validate()
@@ -58,99 +85,71 @@ class RunConfig:
         self.latency.validate()
 
 
-def _parse(parser, section, key, cast, current):
-    if not parser.has_option(section, key):
-        return current
-    raw = parser.get(section, key)
+def _assign(cfg: RunConfig, attr: str, value) -> None:
+    owner, _, name = attr.rpartition(".")
+    setattr(attrgetter(owner)(cfg) if owner else cfg, name, value)
+
+
+def _cast(name: str, raw: str, default):
     try:
-        if cast is bool:
+        if isinstance(default, bool):
             word = raw.strip().lower()
             if word not in _BOOL_WORDS:
                 raise ValueError(f"not a boolean: {raw!r}")
             return _BOOL_WORDS[word]
-        return cast(raw)
+        return type(default)(raw)
     except ValueError as exc:
-        raise ConfigError(f"{section}.{key}: {exc}") from exc
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
-def load_run_config(path: str, overrides: dict = None) -> RunConfig:
-    """Parse an INI run config; unknown sections or keys are errors."""
-    parser = configparser.ConfigParser()
-    parser.optionxform = str
-    try:
-        with open(path) as fh:
-            parser.read_file(fh)
-    except configparser.Error as exc:
-        raise ConfigError(f"config file {path}: {exc}") from exc
+def load_run_config(path: str = None, overrides: dict = None) -> RunConfig:
+    """Defaults, then the INI file at ``path`` if given, then ``overrides``.
 
-    known = {
-        "run": {"id": str, "objective": str, "seed": int},
-        "task": {"conditions": int, "dim": int, "task_seed": int,
-                 "anisotropic": bool, "n_per_condition": int},
-        "training": {"epochs": int, "batch_size": int, "lr": float,
-                     "beta1": float, "beta2": float, "weight_decay": float,
-                     "eval_every": int},
-        "schedule": {"steps": int, "beta_start": float, "beta_end": float},
-        "network": {"hidden": int, "time_dim": int, "time_base": float},
-        "eval": {"n_generate": int, "diffusion_steps": int, "flow_steps": int,
-                 "diversity_pairs": int, "multimodality_reps": int},
-        "latency": {"batch_size": int, "warmup": int, "timed": int, "mode": str},
-    }
-    for section in parser.sections():
-        if section not in known:
-            raise ConfigError(f"{section}: unknown config section")
-        for key in parser.options(section):
-            if key not in known[section]:
-                raise ConfigError(f"{section}.{key}: unknown key")
-
+    Unknown sections or keys are errors.  ``overrides`` maps the fields in
+    ``_OVERRIDABLE`` to values; None values are ignored.
+    """
     cfg = RunConfig()
-    cfg.run_id = _parse(parser, "run", "id", str, cfg.run_id)
-    cfg.objective = _parse(parser, "run", "objective", str, cfg.objective)
-    cfg.seed = _parse(parser, "run", "seed", int, cfg.seed)
-    for key in ("conditions", "dim", "task_seed", "anisotropic", "n_per_condition"):
-        cast = known["task"][key]
-        setattr(cfg.task, key, _parse(parser, "task", key, cast, getattr(cfg.task, key)))
+    if path is not None:
+        parser = configparser.ConfigParser()
+        parser.optionxform = str
+        try:
+            with open(path) as fh:
+                parser.read_file(fh)
+        except configparser.Error as exc:
+            raise ConfigError(f"config file {path}: {exc}") from exc
+        sections = {section for section, _ in SCHEMA}
+        for section in parser.sections():
+            if section not in sections:
+                raise ConfigError(f"{section}: unknown config section")
+            for key, raw in parser.items(section):
+                attr = SCHEMA.get((section, key))
+                if attr is None:
+                    raise ConfigError(f"{section}.{key}: unknown key")
+                _assign(cfg, attr, _cast(f"{section}.{key}", raw, attrgetter(attr)(cfg)))
 
-    if overrides:
-        for key, value in overrides.items():
-            if value is None:
-                continue
-            if key in ("objective", "seed", "run_id"):
-                setattr(cfg, key, value)
-            elif key == "epochs":
-                pass  # applied after TrainConfig is built
-            else:
-                raise ConfigError(f"override {key}: unknown field")
-
-    train = TrainConfig(objective=cfg.objective, seed=cfg.seed)
-    for key in ("epochs", "batch_size", "lr", "beta1", "beta2",
-                "weight_decay", "eval_every"):
-        cast = known["training"][key]
-        setattr(train, key, _parse(parser, "training", key, cast, getattr(train, key)))
-    train.schedule_steps = _parse(parser, "schedule", "steps", int, train.schedule_steps)
-    train.beta_start = _parse(parser, "schedule", "beta_start", float, train.beta_start)
-    train.beta_end = _parse(parser, "schedule", "beta_end", float, train.beta_end)
-    train.hidden = _parse(parser, "network", "hidden", int, train.hidden)
-    train.d_time = _parse(parser, "network", "time_dim", int, train.d_time)
-    train.time_base = _parse(parser, "network", "time_base", float, train.time_base)
-    ev = EvalSettings()
-    for key in ("n_generate", "diffusion_steps", "flow_steps",
-                "diversity_pairs", "multimodality_reps"):
-        setattr(ev, key, _parse(parser, "eval", key, int, getattr(ev, key)))
-    train.eval = ev
-    if overrides and overrides.get("epochs") is not None:
-        train.epochs = overrides["epochs"]
-    cfg.training = train
-
-    lat = LatencyProtocol()
-    lat.batch_size = _parse(parser, "latency", "batch_size", int, lat.batch_size)
-    lat.warmup = _parse(parser, "latency", "warmup", int, lat.warmup)
-    lat.timed = _parse(parser, "latency", "timed", int, lat.timed)
-    lat.mode = _parse(parser, "latency", "mode", str, lat.mode)
-    cfg.latency = lat
-
+    for name, value in (overrides or {}).items():
+        if value is None:
+            continue
+        if name not in _OVERRIDABLE:
+            raise ConfigError(f"override {name}: unknown field")
+        _assign(cfg, next(a for a in SCHEMA.values() if a.rpartition(".")[2] == name),
+                value)
     cfg.validate()
     return cfg
+
+
+def check_checkpoint(cfg: RunConfig, net, meta: dict) -> None:
+    """Raise ConfigError, naming the INI key, where a checkpoint's network or
+    training seed disagrees with the config it is about to be scored under."""
+    found = {"task.dim": net.d_latent, "training.hidden": net.hidden,
+             "training.d_time": net.d_time, "training.time_base": net.time_base,
+             "training.seed": meta.get("seed", cfg.seed)}
+    keys = {attr: f"{section}.{key}" for (section, key), attr in SCHEMA.items()}
+    for attr, got in found.items():
+        want = attrgetter(attr)(cfg)
+        if got != want:
+            raise ConfigError(f"{keys[attr]}: config has {want!r} but the "
+                              f"checkpoint was trained with {got!r}")
 
 
 def run_root() -> str:
@@ -163,29 +162,16 @@ def resolve_run_dir(run_id: str) -> str:
 
 @dataclass
 class RunManifest:
-    """String key-value sections; round-trips losslessly through INI text."""
+    """String key-value sections, written as INI text."""
 
     sections: dict = field(default_factory=dict)
-
-    def set(self, section: str, key: str, value) -> None:
-        self.sections.setdefault(section, {})[key] = str(value)
 
     def save(self, path: str) -> None:
         parser = configparser.ConfigParser()
         parser.optionxform = str
-        for section, pairs in self.sections.items():
-            parser[section] = {k: str(v) for k, v in pairs.items()}
+        parser.read_dict(self.sections)
         with open(path, "w") as fh:
             parser.write(fh)
-
-    @classmethod
-    def load(cls, path: str) -> "RunManifest":
-        parser = configparser.ConfigParser()
-        parser.optionxform = str
-        with open(path) as fh:
-            parser.read_file(fh)
-        sections = {s: dict(parser.items(s)) for s in parser.sections()}
-        return cls(sections=sections)
 
     def hash(self) -> str:
         digest = hashlib.sha256()
@@ -196,22 +182,10 @@ class RunManifest:
         return digest.hexdigest()
 
 
-def manifest_for(cfg: RunConfig, out_dir: str) -> RunManifest:
+def manifest_for(cfg: RunConfig) -> RunManifest:
+    """The resolved config in the config file's own schema; loadable by
+    ``load_run_config``."""
     m = RunManifest()
-    m.set("run", "id", cfg.run_id)
-    m.set("run", "objective", cfg.objective)
-    m.set("run", "seed", cfg.seed)
-    m.set("run", "out_dir", out_dir)
-    for key in ("conditions", "dim", "task_seed", "anisotropic", "n_per_condition"):
-        m.set("task", key, getattr(cfg.task, key))
-    t = cfg.training
-    for key in ("epochs", "batch_size", "lr", "beta1", "beta2", "weight_decay",
-                "eval_every", "schedule_steps", "beta_start", "beta_end",
-                "hidden", "d_time", "time_base"):
-        m.set("training", key, getattr(t, key))
-    for key in ("n_generate", "diffusion_steps", "flow_steps",
-                "diversity_pairs", "multimodality_reps"):
-        m.set("eval", key, getattr(t.eval, key))
-    for key in ("batch_size", "warmup", "timed", "mode"):
-        m.set("latency", key, getattr(cfg.latency, key))
+    for (section, key), attr in SCHEMA.items():
+        m.sections.setdefault(section, {})[key] = str(attrgetter(attr)(cfg))
     return m

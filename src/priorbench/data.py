@@ -1,10 +1,10 @@
 """Synthetic conditional latent distributions with known statistics.
 
-Each condition label names a small Gaussian mixture in latent space and
-carries a fixed one-hot embedding that serves as the network's conditioning
-input.  The default task (8 conditions, 8 dimensions, 2 components each) is
-a pure function of a master seed checked into this module, so every run and
-test sees identical ground truth.
+Each condition label names a small Gaussian mixture in latent space.  The
+network is conditioned on the label's anchor in the evaluation space,
+``EmbeddingSpace.cond_embeds``.  The default task (8 conditions, 8
+dimensions, 2 components each) is a pure function of a master seed checked
+into this module, so every run and test sees identical ground truth.
 """
 
 from dataclasses import dataclass, field
@@ -17,18 +17,34 @@ from .rng import SeededRng
 DEFAULT_TASK_SEED = 0x5EED_CAFE
 DEFAULT_CONDITIONS = 8
 DEFAULT_DIM = 8
-HARD_TASK_SEED = 0x5EED_F00D
 
 SPLIT_NAMES = ("train", "val", "test")
 _SPLIT_FRACTIONS = (0.8, 0.1)  # train, val; test takes the remainder
 
 
 @dataclass
+class TaskSettings:
+    conditions: int = DEFAULT_CONDITIONS
+    dim: int = DEFAULT_DIM
+    task_seed: int = DEFAULT_TASK_SEED
+    anisotropic: bool = False
+    n_per_condition: int = 1000
+
+    def validate(self) -> None:
+        if self.conditions < 2:
+            raise ConfigError(f"task.conditions: need >= 2, got {self.conditions}")
+        if self.dim < 1:
+            raise ConfigError(f"task.dim: need >= 1, got {self.dim}")
+        if self.n_per_condition < 10:
+            raise ConfigError(
+                f"task.n_per_condition: need >= 10, got {self.n_per_condition}")
+
+
+@dataclass
 class ConditionSpec:
-    """A condition label, its embedding, and the mixture it names."""
+    """A condition label and the mixture it names."""
 
     label: int
-    embedding: np.ndarray     # [E_c], unit norm, orthogonal across labels
     weights: np.ndarray       # [C], positive, sums to 1
     means: np.ndarray         # [C x D]
     covariances: np.ndarray   # [C x D x D], PSD
@@ -69,13 +85,10 @@ def make_task(n_conditions: int, dim: int, seed: int, between_scale: float = 1.5
         variances = np.full((n_conditions, 2, dim), noise_variance)
     specs = []
     for label in range(n_conditions):
-        embedding = np.zeros(n_conditions)
-        embedding[label] = 1.0
         means = np.stack([bases[label] + offsets[label], bases[label] - offsets[label]])
         covs = np.stack([np.diag(variances[label, 0]), np.diag(variances[label, 1])])
         specs.append(ConditionSpec(
             label=label,
-            embedding=embedding,
             weights=np.array([weights[label], 1.0 - weights[label]]),
             means=means,
             covariances=covs,
@@ -86,16 +99,6 @@ def make_task(n_conditions: int, dim: int, seed: int, between_scale: float = 1.5
 def default_task() -> list[ConditionSpec]:
     """The K = 8, D = 8 benchmark task; constant across calls."""
     return make_task(DEFAULT_CONDITIONS, DEFAULT_DIM, DEFAULT_TASK_SEED)
-
-
-def hard_task() -> list[ConditionSpec]:
-    """Stress variant: K = 16, D = 16, anisotropic component covariances."""
-    return make_task(16, 16, HARD_TASK_SEED, anisotropic=True)
-
-
-def task_embeddings(specs: list[ConditionSpec]) -> np.ndarray:
-    """[K x E_c] matrix of condition embeddings indexed by label."""
-    return np.stack([s.embedding for s in specs])
 
 
 def ground_truth_sample(spec: ConditionSpec, n: int, rng: SeededRng) -> np.ndarray:
@@ -175,44 +178,3 @@ def generate_dataset(specs: list[ConditionSpec], n_per_condition: int,
         seed=seed,
     )
 
-
-# --- dataset files ----------------------------------------------------------
-#
-# Columnar text format, one sample per row:
-#   line 1: "priorbench-dataset 1"
-#   line 2: "dim=<D> conditions=<K> samples=<N> seed=<seed>"
-#   rows:   "<split> <label> <v_1> ... <v_D>"   (floats via repr, lossless)
-
-DATASET_MAGIC = "priorbench-dataset 1"
-
-
-def save_dataset(path, dataset: Dataset) -> None:
-    n, d = dataset.samples.shape
-    k = int(dataset.labels.max()) + 1 if n else 0
-    with open(path, "w", encoding="utf8") as fh:
-        fh.write(DATASET_MAGIC + "\n")
-        fh.write(f"dim={d} conditions={k} samples={n} seed={dataset.seed}\n")
-        for i in range(n):
-            # repr of builtin float is the shortest round-trip form
-            values = " ".join(repr(float(v)) for v in dataset.samples[i])
-            fh.write(f"{dataset.split_tags[i]} {dataset.labels[i]} {values}\n")
-
-
-def load_dataset(path) -> Dataset:
-    with open(path, "r", encoding="utf8") as fh:
-        magic = fh.readline().strip()
-        if magic != DATASET_MAGIC:
-            raise ValueError(f"{path}: not a dataset file (header {magic!r})")
-        header = dict(item.split("=") for item in fh.readline().split())
-        n = int(header["samples"])
-        d = int(header["dim"])
-        samples = np.empty((n, d))
-        labels = np.empty(n, dtype=np.int64)
-        tags = np.empty(n, dtype=object)
-        for i in range(n):
-            parts = fh.readline().split()
-            tags[i] = parts[0]
-            labels[i] = int(parts[1])
-            samples[i] = [float(v) for v in parts[2:]]
-    return Dataset(samples=samples, labels=labels, split_tags=tags,
-                   seed=int(header["seed"]))

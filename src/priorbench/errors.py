@@ -27,3 +27,7 @@ class EvaluationError(PriorBenchError, RuntimeError):
 
 class DivergenceError(PriorBenchError, RuntimeError):
     """Non-finite values encountered during training or sampling."""
+
+
+class CheckpointError(PriorBenchError, ValueError):
+    """A checkpoint file is truncated, corrupted, or not a checkpoint at all."""

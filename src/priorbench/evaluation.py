@@ -1,6 +1,6 @@
 """End-to-end evaluation: sample from a trained prior, score in the joint space."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

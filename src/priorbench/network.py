@@ -12,7 +12,7 @@ import struct
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import CheckpointError, DivergenceError
 from .rng import SeededRng
 
 DEFAULT_HIDDEN = 128
@@ -76,10 +76,6 @@ class PriorNetwork:
             "w3": np.zeros((hidden, d_latent)),
             "b3": np.zeros(d_latent),
         }
-
-    @property
-    def d_in(self) -> int:
-        return self.d_latent + self.d_time + self.d_cond
 
     @property
     def param_count(self) -> int:
@@ -242,21 +238,40 @@ def save_checkpoint(path, net: PriorNetwork, meta: dict) -> None:
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (PriorNetwork, metadata dict)."""
+    """Read a checkpoint; returns (PriorNetwork, metadata dict).
+
+    Raises CheckpointError on a truncated, padded or inconsistent file.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file (bad magic {magic!r})")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf8"))
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {header.get('version')}")
-        arch = header["arch"]
+        blob = fh.read()
+    magic = blob[:len(CHECKPOINT_MAGIC)]
+    if magic != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"{path}: not a checkpoint file (bad magic {magic!r})")
+    start = len(CHECKPOINT_MAGIC) + 4
+    hlen = int.from_bytes(blob[len(CHECKPOINT_MAGIC):start], "little")
+    if len(blob) < start + hlen:
+        raise CheckpointError(f"{path}: truncated header")
+    try:
+        header = json.loads(blob[start:start + hlen].decode("utf8"))
+        version, arch, meta = header["version"], header["arch"], header["meta"]
         net = PriorNetwork(arch["d_latent"], arch["d_cond"], hidden=arch["hidden"],
                            d_time=arch["d_time"], time_base=arch["time_base"])
-        for entry in header["arrays"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(shape)
-            net.params[entry["name"]] = data.astype(np.float64)
-    return net, header["meta"]
+        layout = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"{path}: malformed header: {exc!r}") from exc
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version!r}")
+    expected = [(name, net.params[name].shape) for name in _PARAM_ORDER]
+    if layout != expected:
+        raise CheckpointError(
+            f"{path}: arrays {layout} do not match the architecture's {expected}")
+    offset = start + hlen
+    if len(blob) - offset != 8 * net.param_count:
+        raise CheckpointError(f"{path}: array payload is {len(blob) - offset} bytes, "
+                              f"expected {8 * net.param_count}")
+    for name, shape in layout:
+        count = net.params[name].size
+        data = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
+        net.params[name] = data.reshape(shape).astype(np.float64)
+        offset += 8 * count
+    return net, meta

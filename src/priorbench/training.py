@@ -8,7 +8,7 @@ and flow runs consume identical batches.
 
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,14 +55,20 @@ class TrainConfig:
     eval: EvalSettings = field(default_factory=EvalSettings)
 
     def validate(self) -> None:
+        """Messages name the INI key that sets each field."""
         if self.objective not in OBJECTIVES:
-            raise ConfigError(f"training.objective: unknown kind {self.objective!r}")
-        for name in ("epochs",):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"training.{name}: must be >= 0")
-        for name in ("batch_size", "eval_every", "schedule_steps", "hidden", "d_time"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"training.{name}: must be >= 1")
+            raise ConfigError(f"run.objective: unknown kind {self.objective!r}")
+        if self.epochs < 0:
+            raise ConfigError("training.epochs: must be >= 0")
+        for key, value in (("training.batch_size", self.batch_size),
+                           ("training.eval_every", self.eval_every),
+                           ("schedule.steps", self.schedule_steps),
+                           ("network.hidden", self.hidden)):
+            if value < 1:
+                raise ConfigError(f"{key}: must be >= 1")
+        if self.d_time < 2 or self.d_time % 2 != 0:
+            raise ConfigError(
+                f"network.time_dim: must be a positive even number, got {self.d_time}")
         if self.lr <= 0.0:
             raise ConfigError(f"training.lr: must be positive, got {self.lr}")
         self.eval.validate()

@@ -2,10 +2,12 @@
 
 import csv
 import os
+import shutil
 
 import pytest
 
 from priorbench.cli import _parse_step_range, cli_dispatch
+from priorbench.config import load_run_config
 from priorbench.errors import ConfigError
 
 SMALL_CONFIG = """
@@ -88,7 +90,7 @@ def test_parse_step_range():
 
 
 def test_train_writes_artifacts(trained_run):
-    run_dir, _, out = trained_run
+    run_dir, config_path, out = trained_run
     assert "epochs completed: 2" in out
     assert "peak epoch" in out
     assert (run_dir / "manifest.ini").exists()
@@ -97,6 +99,9 @@ def test_train_writes_artifacts(trained_run):
     assert (run_dir / "epoch-2.ckpt").exists()
     lines = (run_dir / "epoch_log.csv").read_text().splitlines()
     assert len(lines) == 3
+    # the manifest is a config file for the same run
+    assert (load_run_config(str(run_dir / "manifest.ini"))
+            == load_run_config(config_path, {"run_id": "smoke"}))
 
 
 def test_eval_prints_metrics(trained_run, capsys):
@@ -108,6 +113,43 @@ def test_eval_prints_metrics(trained_run, capsys):
     for name in ("fid:", "r1:", "r2:", "r3:", "mm_dist:", "diversity:",
                  "mmodality:"):
         assert name in out
+
+
+def test_eval_defaults_to_the_run_manifest(trained_run, capsys):
+    run_dir, config_path, _ = trained_run
+    ckpt = str(run_dir / "epoch-2.ckpt")
+    assert cli_dispatch(["eval", "--checkpoint", ckpt, "--config", config_path]) == 0
+    with_config = capsys.readouterr().out
+    assert cli_dispatch(["eval", "--checkpoint", ckpt]) == 0
+    assert capsys.readouterr().out == with_config
+
+
+def test_eval_rejects_a_config_the_checkpoint_was_not_trained_under(
+        trained_run, tmp_path, capsys):
+    run_dir, _, _ = trained_run
+    ckpt = str(run_dir / "epoch-2.ckpt")
+    for change, key in ((("seed = 3", "seed = 4"), "run.seed"),
+                        (("hidden = 12", "hidden = 16"), "network.hidden"),
+                        (("time_dim = 8", "time_dim = 4"), "network.time_dim")):
+        other = tmp_path / "other.ini"
+        other.write_text(SMALL_CONFIG.replace(*change))
+        assert cli_dispatch(["eval", "--checkpoint", ckpt, "--config", str(other)]) == 2
+        assert key in capsys.readouterr().err
+    # no manifest beside the checkpoint: defaults apply, and dim 8 != 3
+    lone = tmp_path / "lone"
+    lone.mkdir()
+    shutil.copy(ckpt, lone / "epoch-2.ckpt")
+    assert cli_dispatch(["bench", "--checkpoint", str(lone / "epoch-2.ckpt")]) == 2
+    assert "task.dim" in capsys.readouterr().err
+
+
+def test_truncated_checkpoint_is_an_error_not_a_traceback(trained_run, tmp_path,
+                                                          capsys):
+    run_dir, _, _ = trained_run
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes((run_dir / "epoch-2.ckpt").read_bytes()[:100])
+    assert cli_dispatch(["eval", "--checkpoint", str(cut)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_eval_missing_checkpoint_is_io_error(config_path, capsys):
@@ -162,11 +204,14 @@ def test_report_empty_dir_is_config_error(tmp_path, capsys):
 
 def test_invalid_config_value_names_field(runs_root, tmp_path, capsys):
     bad = tmp_path / "bad.ini"
-    bad.write_text("[task]\nconditions = 1\n")
-    rc = cli_dispatch(["train", "--config", str(bad)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "task.conditions" in err
+    for text, key in (("[task]\nconditions = 1\n", "task.conditions"),
+                      ("[network]\ntime_dim = 7\n", "network.time_dim")):
+        bad.write_text(text)
+        rc = cli_dispatch(["train", "--config", str(bad)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+    assert not runs_root.exists()  # rejected before any run directory is made
 
 
 def test_train_default_run_id(runs_root, config_path, capsys):

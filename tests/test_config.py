@@ -1,5 +1,7 @@
 """INI run configs, overrides, and run manifests."""
 
+import configparser
+
 import pytest
 
 from priorbench.config import (DEFAULT_RUN_ROOT, RUN_ROOT_ENV, RunManifest,
@@ -34,6 +36,7 @@ def test_empty_file_yields_defaults(tmp_path):
     assert cfg.training.eval.flow_steps == 10
     assert cfg.latency.batch_size == 32
     assert cfg.latency.mode == "prior_only"
+    assert load_run_config() == cfg
 
 
 def test_values_parse_into_right_places(tmp_path):
@@ -113,6 +116,13 @@ def test_invalid_semantics_rejected(tmp_path):
         load_run_config(write(tmp_path, "[task]\nconditions = 1\n"))
     with pytest.raises(ConfigError, match=r"latency\.mode"):
         load_run_config(write(tmp_path, "[latency]\nmode = warp\n"))
+    # messages name the key as written in the file, not the attribute it sets
+    for text, key in (("[run]\nobjective = vae\n", r"run\.objective"),
+                      ("[schedule]\nsteps = 0\n", r"schedule\.steps"),
+                      ("[network]\nhidden = 0\n", r"network\.hidden"),
+                      ("[network]\ntime_dim = 7\n", r"network\.time_dim")):
+        with pytest.raises(ConfigError, match=key):
+            load_run_config(write(tmp_path, text))
 
 
 def test_overrides_win_and_propagate(tmp_path):
@@ -154,33 +164,38 @@ def test_run_root_env(monkeypatch, tmp_path):
 
 
 def test_manifest_round_trip_and_hash(tmp_path):
-    m = RunManifest()
-    m.set("run", "id", "demo")
-    m.set("run", "seed", 12)
-    m.set("task", "dim", 8)
-    path = tmp_path / "manifest.ini"
-    m.save(str(path))
-    loaded = RunManifest.load(str(path))
-    assert loaded.sections == {"run": {"id": "demo", "seed": "12"},
-                               "task": {"dim": "8"}}
-    assert loaded.hash() == m.hash()
+    cfg = load_run_config(write(tmp_path, "[run]\nid = demo\nseed = 12\n"
+                                          "[task]\nanisotropic = yes\n"
+                                          "[training]\nlr = 3e-4\n"))
+    m = manifest_for(cfg)
+    path = str(tmp_path / "manifest.ini")
+    m.save(path)
+    parser = configparser.ConfigParser()
+    parser.optionxform = str
+    parser.read(path)
+    written = RunManifest({s: dict(parser.items(s)) for s in parser.sections()})
+    assert written.hash() == m.hash()
 
-    other = RunManifest()
-    other.set("run", "id", "demo")
-    other.set("run", "seed", 13)
-    other.set("task", "dim", 8)
-    assert other.hash() != m.hash()
+    # the manifest is itself a config file describing the same run
+    reloaded = load_run_config(path)
+    assert reloaded == cfg
+    assert manifest_for(reloaded).hash() == m.hash()
+
+    other = load_run_config(path, overrides={"seed": 13})
+    assert manifest_for(other).hash() != m.hash()
 
 
 def test_manifest_for_covers_config(tmp_path):
     cfg = load_run_config(write(tmp_path, "[run]\nid = demo\nseed = 4\n"))
-    m = manifest_for(cfg, "/tmp/out")
+    m = manifest_for(cfg)
     assert m.sections["run"]["id"] == "demo"
     assert m.sections["run"]["seed"] == "4"
-    assert m.sections["run"]["out_dir"] == "/tmp/out"
+    assert "out_dir" not in m.sections["run"]
     assert m.sections["training"]["epochs"] == "200"
+    assert m.sections["schedule"]["steps"] == "1000"
+    assert m.sections["network"]["time_dim"] == "16"
     assert m.sections["eval"]["n_generate"] == "1024"
     assert m.sections["latency"]["mode"] == "prior_only"
     # identical configs yield identical hashes regardless of insert order
-    again = manifest_for(cfg, "/tmp/out")
+    again = manifest_for(cfg)
     assert again.hash() == m.hash()

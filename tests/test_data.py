@@ -1,11 +1,10 @@
-"""Synthetic conditional mixture tasks and the split/save/load plumbing."""
+"""Synthetic conditional mixture tasks and the split plumbing."""
 
 import numpy as np
 import pytest
 
-from priorbench.data import (ConditionSpec, default_task, generate_dataset,
-                             ground_truth_sample, hard_task, load_dataset,
-                             make_task, save_dataset, task_embeddings)
+from priorbench.data import (default_task, generate_dataset,
+                             ground_truth_sample, make_task)
 from priorbench.errors import ConfigError
 from priorbench.rng import SeededRng
 
@@ -22,15 +21,6 @@ def test_default_task_shape():
         assert np.all((s.weights >= 0.35) & (s.weights <= 0.65))
 
 
-def test_hard_task_is_bigger_and_anisotropic():
-    specs = hard_task()
-    assert len(specs) == 16
-    assert specs[0].dim == 16
-    diags = np.diagonal(specs[0].covariances, axis1=1, axis2=2)
-    assert np.unique(diags).size > 1  # per-axis variances differ
-    assert np.all((diags >= 0.02) & (diags <= 0.25))
-
-
 def test_make_task_reproducible():
     a = make_task(4, 6, seed=42)
     b = make_task(4, 6, seed=42)
@@ -39,12 +29,6 @@ def test_make_task_reproducible():
         np.testing.assert_array_equal(sa.weights, sb.weights)
     c = make_task(4, 6, seed=43)
     assert not np.array_equal(a[0].means, c[0].means)
-
-
-def test_condition_embeddings_orthonormal():
-    specs = default_task()
-    e = task_embeddings(specs)
-    np.testing.assert_allclose(e @ e.T, np.eye(len(specs)), atol=1e-12)
 
 
 def test_mixture_moments_against_empirical():
@@ -118,22 +102,3 @@ def test_split_returns_matching_rows():
     mask = ds.split_tags == "val"
     np.testing.assert_array_equal(x, ds.samples[mask])
     np.testing.assert_array_equal(labels, ds.labels[mask])
-
-
-def test_save_load_round_trip(tmp_path):
-    specs = make_task(3, 4, seed=21)
-    ds = generate_dataset(specs, 20, seed=22)
-    path = tmp_path / "data.txt"
-    save_dataset(path, ds)
-    back = load_dataset(path)
-    np.testing.assert_array_equal(back.samples, ds.samples)
-    np.testing.assert_array_equal(back.labels, ds.labels)
-    np.testing.assert_array_equal(back.split_tags, ds.split_tags)
-    assert back.seed == ds.seed
-
-
-def test_load_rejects_foreign_file(tmp_path):
-    path = tmp_path / "junk.txt"
-    path.write_text("something else\n")
-    with pytest.raises(ValueError):
-        load_dataset(path)

@@ -1,9 +1,12 @@
 """MLP forward/backward, sinusoidal time features, AdamW, checkpoints."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
-from priorbench.errors import DivergenceError
+from priorbench.errors import CheckpointError, DivergenceError
 from priorbench.network import (AdamW, CHECKPOINT_MAGIC, PriorNetwork,
                                 load_checkpoint, save_checkpoint,
                                 time_embedding)
@@ -167,3 +170,35 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
     with pytest.raises(ValueError):
         load_checkpoint(path)
     assert CHECKPOINT_MAGIC == b"PBCKPT1\n"
+
+
+def test_checkpoint_rejects_truncated_padded_and_mismatched_files(tmp_path):
+    net = PriorNetwork.initialized(3, 5, SeededRng(77), hidden=6, d_time=4)
+    good = tmp_path / "net.ckpt"
+    save_checkpoint(good, net, {"objective": "flow", "epoch": 1, "seed": 0})
+    blob = good.read_bytes()
+    (hlen,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12:12 + hlen])
+    payload = blob[12 + hlen:]
+
+    def with_header(h):
+        text = json.dumps(h).encode("utf8")
+        return CHECKPOINT_MAGIC + struct.pack("<I", len(text)) + text + payload
+
+    renamed = json.loads(json.dumps(header))
+    renamed["arrays"][0]["name"] = "w9"
+    reshaped = json.loads(json.dumps(header))
+    reshaped["arrays"][1]["shape"] = [3, 2]
+    cuts = (0, 5, 10, 12, 12 + hlen // 2, 12 + hlen, 12 + hlen + 13, len(blob) - 1)
+    bad_files = [blob[:cut] for cut in cuts] + [
+        blob + b"\0" * 8,                                     # over-long payload
+        blob[:12] + b"\xff" * hlen + payload,                 # undecodable header
+        with_header(renamed),
+        with_header(reshaped),
+    ]
+    bad = tmp_path / "bad.ckpt"
+    for data in bad_files:
+        bad.write_bytes(data)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(bad)
+    assert issubclass(CheckpointError, ValueError)
