@@ -62,7 +62,7 @@ class EpsOracle:
         return (x_t - np.sqrt(abar) * self.x0) / np.sqrt(1.0 - abar), {}
 
     def backward(self, cache, dout):
-        return {}
+        return np.zeros(0)
 
 
 class VelocityOracle:
@@ -74,7 +74,7 @@ class VelocityOracle:
         return self.x0 - (x_t - t * self.x0) / (1.0 - t), {}
 
     def backward(self, cache, dout):
-        return {}
+        return np.zeros(0)
 
 
 floor_d = diffusion_loss(x0, conds, EpsOracle(x0, schedule), schedule, SeededRng(1))

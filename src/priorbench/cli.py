@@ -92,16 +92,14 @@ def _cmd_train(args) -> int:
 
 
 def _checkpoint_context(args):
-    """Checkpoint plus the run context it is scored in: ``--config`` if given,
-    else the ``manifest.ini`` beside the checkpoint, else defaults."""
+    """Checkpoint plus the run context it is scored in: the ``manifest.ini``
+    beside the checkpoint (else defaults), under ``--config`` if given."""
     if not os.path.exists(args.checkpoint):
         raise OSError(f"checkpoint not found: {args.checkpoint}")
     net, meta = load_checkpoint(args.checkpoint)
-    config_path = args.config
-    if config_path is None:
-        manifest = os.path.join(os.path.dirname(args.checkpoint), MANIFEST_NAME)
-        config_path = manifest if os.path.exists(manifest) else None
-    cfg = load_run_config(config_path)
+    manifest = os.path.join(os.path.dirname(args.checkpoint), MANIFEST_NAME)
+    cfg = load_run_config(args.config,
+                          manifest=manifest if os.path.exists(manifest) else None)
     check_checkpoint(cfg, net, meta)
     objective = meta.get("objective", cfg.objective)
     specs, dataset, space = _task_context(cfg)

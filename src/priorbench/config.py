@@ -63,6 +63,10 @@ SCHEMA = {
 # Fields the ``train`` command's flags override, named by attribute.
 _OVERRIDABLE = ("run_id", "objective", "seed", "epochs")
 
+# Keys (``section.key`` prefixes) a config may change when it scores a
+# checkpoint against the run manifest: how to evaluate, not what was trained.
+_SCORING_KEYS = ("eval.", "latency.", "run.id")
+
 
 @dataclass
 class RunConfig:
@@ -102,30 +106,54 @@ def _cast(name: str, raw: str, default):
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-def load_run_config(path: str = None, overrides: dict = None) -> RunConfig:
-    """Defaults, then the INI file at ``path`` if given, then ``overrides``.
+def _stated_keys(path: str):
+    """(``section.key``, attribute, raw value) for every key the INI file at
+    ``path`` states; unknown sections or keys are errors."""
+    parser = configparser.ConfigParser()
+    parser.optionxform = str
+    try:
+        with open(path) as fh:
+            parser.read_file(fh)
+    except configparser.Error as exc:
+        raise ConfigError(f"config file {path}: {exc}") from exc
+    sections = {section for section, _ in SCHEMA}
+    for section in parser.sections():
+        if section not in sections:
+            raise ConfigError(f"{section}: unknown config section")
+        for key, raw in parser.items(section):
+            attr = SCHEMA.get((section, key))
+            if attr is None:
+                raise ConfigError(f"{section}.{key}: unknown key")
+            yield f"{section}.{key}", attr, raw
 
-    Unknown sections or keys are errors.  ``overrides`` maps the fields in
+
+def _apply(cfg: RunConfig, path: str, locked: bool = False) -> None:
+    """Set every key the file at ``path`` states.  With ``locked``, only
+    ``_SCORING_KEYS`` may differ from ``cfg``; any other stated key must
+    repeat its value."""
+    for name, attr, raw in _stated_keys(path):
+        current = attrgetter(attr)(cfg)
+        value = _cast(name, raw, current)
+        if locked and value != current and not name.startswith(_SCORING_KEYS):
+            raise ConfigError(f"{name}: config has {value!r} but the checkpoint's "
+                              f"run manifest has {current!r}")
+        _assign(cfg, attr, value)
+
+
+def load_run_config(path: str = None, overrides: dict = None,
+                    manifest: str = None) -> RunConfig:
+    """Defaults, then the run ``manifest`` if given, then the INI file at
+    ``path`` if given, then ``overrides``.
+
+    Unknown sections or keys are errors.  On top of a manifest, ``path`` may
+    change only ``_SCORING_KEYS``.  ``overrides`` maps the fields in
     ``_OVERRIDABLE`` to values; None values are ignored.
     """
     cfg = RunConfig()
+    if manifest is not None:
+        _apply(cfg, manifest)
     if path is not None:
-        parser = configparser.ConfigParser()
-        parser.optionxform = str
-        try:
-            with open(path) as fh:
-                parser.read_file(fh)
-        except configparser.Error as exc:
-            raise ConfigError(f"config file {path}: {exc}") from exc
-        sections = {section for section, _ in SCHEMA}
-        for section in parser.sections():
-            if section not in sections:
-                raise ConfigError(f"{section}: unknown config section")
-            for key, raw in parser.items(section):
-                attr = SCHEMA.get((section, key))
-                if attr is None:
-                    raise ConfigError(f"{section}.{key}: unknown key")
-                _assign(cfg, attr, _cast(f"{section}.{key}", raw, attrgetter(attr)(cfg)))
+        _apply(cfg, path, locked=manifest is not None)
 
     for name, value in (overrides or {}).items():
         if value is None:
@@ -141,8 +169,9 @@ def load_run_config(path: str = None, overrides: dict = None) -> RunConfig:
 def check_checkpoint(cfg: RunConfig, net, meta: dict) -> None:
     """Raise ConfigError, naming the INI key, where a checkpoint's network or
     training seed disagrees with the config it is about to be scored under."""
-    found = {"task.dim": net.d_latent, "training.hidden": net.hidden,
-             "training.d_time": net.d_time, "training.time_base": net.time_base,
+    arch = net.arch
+    found = {"task.dim": arch["d_latent"], "training.hidden": arch["hidden"],
+             "training.d_time": arch["d_time"], "training.time_base": arch["time_base"],
              "training.seed": meta.get("seed", cfg.seed)}
     keys = {attr: f"{section}.{key}" for (section, key), attr in SCHEMA.items()}
     for attr, got in found.items():

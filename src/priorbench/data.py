@@ -143,9 +143,6 @@ class Dataset:
         rows = self.split_tags == name
         return self.samples[rows], self.labels[rows]
 
-    def split_size(self, name: str) -> int:
-        return int(np.sum(self.split_tags == name))
-
 
 def generate_dataset(specs: list[ConditionSpec], n_per_condition: int,
                      seed: int) -> Dataset:

@@ -69,7 +69,7 @@ def evaluate(net: PriorNetwork, objective: str, space: EmbeddingSpace,
                                rng, schedule=schedule, n_steps=n_steps)
     gen_emb = space.embed(latents)
     ref_emb = space.embed(ref_samples)
-    r1, r2, r3 = r_precision(gen_emb, gen_labels, space, rng.derive("rprec"))
+    r1, r2, r3 = r_precision(gen_emb, gen_labels, space.cond_embeds, rng.derive("rprec"))
     per_cond = {}
     for label in np.unique(gen_labels):
         per_cond[int(label)] = gen_emb[gen_labels == label]

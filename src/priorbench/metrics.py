@@ -121,14 +121,12 @@ def fid(gen: np.ndarray, ref: np.ndarray) -> float:
 
 
 def r_precision(gen_embeds: np.ndarray, true_labels: np.ndarray,
-                cond_embeds, rng: SeededRng):
+                cond_embeds: np.ndarray, rng: SeededRng):
     """Top-1/2/3 retrieval accuracy among 32 candidates per sample.
 
     Each sample's candidate list is its true condition embedding plus 31
     mismatches drawn uniformly (with replacement) from the other labels.
     """
-    if hasattr(cond_embeds, "cond_embeds"):
-        cond_embeds = cond_embeds.cond_embeds
     gen_embeds = np.asarray(gen_embeds, dtype=np.float64)
     true_labels = np.asarray(true_labels, dtype=np.int64)
     n = gen_embeds.shape[0]

@@ -4,10 +4,12 @@ One architecture serves both training objectives: the network maps a noisy
 or interpolated latent, a scalar time in [0, 1], and a fixed condition
 embedding to a latent-shaped prediction (noise for the diffusion objective,
 velocity for the flow objective).  Gradients are computed analytically; no
-autograd framework is involved.
+autograd framework is involved.  Parameters, gradients, AdamW moments and
+the checkpoint payload share one flat layout, stated once in ``PriorNetwork``.
 """
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -18,8 +20,6 @@ from .rng import SeededRng
 DEFAULT_HIDDEN = 128
 DEFAULT_TIME_DIM = 16
 DEFAULT_TIME_BASE = 2.0
-
-_PARAM_ORDER = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 
 def time_embedding(t, dim: int = DEFAULT_TIME_DIM, base: float = DEFAULT_TIME_BASE) -> np.ndarray:
@@ -56,8 +56,10 @@ def _silu_grad(z):
 class PriorNetwork:
     """Two-hidden-layer SiLU MLP: [latent | time features | condition] -> latent.
 
-    Parameters live in ``self.params`` (a name -> array dict) so the
-    optimizer and checkpoint code can treat them uniformly.
+    All parameters live in one float64 vector, ``flat``: the C-order blocks of
+    ``layout``'s (name, shape) pairs, back to back.  ``params`` maps each name
+    to a view of its block, so write through it in place
+    (``net.params["w1"][...] = w``); rebinding an entry detaches it from ``flat``.
     """
 
     def __init__(self, d_latent: int, d_cond: int, hidden: int = DEFAULT_HIDDEN,
@@ -68,18 +70,30 @@ class PriorNetwork:
         self.d_time = d_time
         self.time_base = time_base
         d_in = d_latent + d_time + d_cond
-        self.params = {
-            "w1": np.zeros((d_in, hidden)),
-            "b1": np.zeros(hidden),
-            "w2": np.zeros((hidden, hidden)),
-            "b2": np.zeros(hidden),
-            "w3": np.zeros((hidden, d_latent)),
-            "b3": np.zeros(d_latent),
-        }
+        self.layout = (("w1", (d_in, hidden)), ("b1", (hidden,)),
+                       ("w2", (hidden, hidden)), ("b2", (hidden,)),
+                       ("w3", (hidden, d_latent)), ("b3", (d_latent,)))
+        self._blocks = []
+        end = 0
+        for name, shape in self.layout:
+            start, end = end, end + math.prod(shape)
+            self._blocks.append((name, slice(start, end), shape))
+        self.flat = np.zeros(end)
+        self.params = self.views(self.flat)
 
     @property
     def param_count(self) -> int:
-        return sum(p.size for p in self.params.values())
+        return self.flat.size
+
+    @property
+    def arch(self) -> dict:
+        """Constructor arguments: ``PriorNetwork(**net.arch)`` has the same layout."""
+        return {"d_latent": self.d_latent, "d_cond": self.d_cond, "hidden": self.hidden,
+                "d_time": self.d_time, "time_base": self.time_base}
+
+    def views(self, vec: np.ndarray) -> dict:
+        """Name the blocks of a vector laid out like ``flat``: name -> shaped view."""
+        return {name: vec[span].reshape(shape) for name, span, shape in self._blocks}
 
     @classmethod
     def initialized(cls, d_latent: int, d_cond: int, rng: SeededRng,
@@ -87,19 +101,12 @@ class PriorNetwork:
                     time_base: float = DEFAULT_TIME_BASE) -> "PriorNetwork":
         """Uniform fan-in initialization: U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
         net = cls(d_latent, d_cond, hidden=hidden, d_time=d_time, time_base=time_base)
-        for w_name, b_name in (("w1", "b1"), ("w2", "b2"), ("w3", "b3")):
-            w = net.params[w_name]
+        blocks = list(net.params.values())
+        for w, b in zip(blocks[::2], blocks[1::2]):
             bound = 1.0 / np.sqrt(w.shape[0])
-            net.params[w_name] = (rng.uniform(w.size).reshape(w.shape) * 2.0 - 1.0) * bound
-            b = net.params[b_name]
-            net.params[b_name] = (rng.uniform(b.size) * 2.0 - 1.0) * bound
+            for p in (w, b):
+                p[...] = (rng.uniform(p.size).reshape(p.shape) * 2.0 - 1.0) * bound
         return net
-
-    def copy(self) -> "PriorNetwork":
-        dup = PriorNetwork(self.d_latent, self.d_cond, hidden=self.hidden,
-                           d_time=self.d_time, time_base=self.time_base)
-        dup.params = {k: v.copy() for k, v in self.params.items()}
-        return dup
 
     def _assemble(self, x_t: np.ndarray, t: np.ndarray, cond: np.ndarray) -> np.ndarray:
         x_t = np.asarray(x_t, dtype=np.float64)
@@ -131,8 +138,8 @@ class PriorNetwork:
         cache = {"u": u, "z1": z1, "h1": h1, "z2": z2, "h2": h2}
         return out, cache
 
-    def backward(self, cache: dict, dout: np.ndarray) -> dict:
-        """Gradients of a scalar loss w.r.t. every parameter.
+    def backward(self, cache: dict, dout: np.ndarray) -> np.ndarray:
+        """Gradient of a scalar loss w.r.t. every parameter, laid out like ``flat``.
 
         ``dout`` is the loss gradient at the network output; contributions
         are summed over the batch, so any mean-reduction factors belong in
@@ -145,18 +152,19 @@ class PriorNetwork:
         if dout.shape != cache["h2"].shape[:1] + (self.d_latent,):
             raise ValueError(
                 f"output gradient must be [B x {self.d_latent}], got {dout.shape}")
-        grads = {}
-        grads["w3"] = cache["h2"].T @ dout
-        grads["b3"] = dout.sum(axis=0)
+        grad = np.empty(self.param_count)
+        g = self.views(grad)
+        np.matmul(cache["h2"].T, dout, out=g["w3"])
+        dout.sum(axis=0, out=g["b3"])
         dh2 = dout @ p["w3"].T
         dz2 = dh2 * _silu_grad(cache["z2"])
-        grads["w2"] = cache["h1"].T @ dz2
-        grads["b2"] = dz2.sum(axis=0)
+        np.matmul(cache["h1"].T, dz2, out=g["w2"])
+        dz2.sum(axis=0, out=g["b2"])
         dh1 = dz2 @ p["w2"].T
         dz1 = dh1 * _silu_grad(cache["z1"])
-        grads["w1"] = cache["u"].T @ dz1
-        grads["b1"] = dz1.sum(axis=0)
-        return grads
+        np.matmul(cache["u"].T, dz1, out=g["w1"])
+        dz1.sum(axis=0, out=g["b1"])
+        return grad
 
 
 class AdamW:
@@ -177,26 +185,22 @@ class AdamW:
         self.m = None
         self.v = None
 
-    def step(self, params: dict, grads: dict) -> None:
-        """Apply one update in place."""
-        for name, g in grads.items():
-            if not np.all(np.isfinite(g)):
-                raise DivergenceError(f"non-finite gradient for parameter '{name}'")
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+        """Update the parameter vector ``params`` in place from ``grad``."""
+        if not np.all(np.isfinite(grad)):
+            raise DivergenceError("non-finite gradient")
         if self.m is None:
-            self.m = {k: np.zeros_like(p) for k, p in params.items()}
-            self.v = {k: np.zeros_like(p) for k, p in params.items()}
+            self.m, self.v = np.zeros_like(params), np.zeros_like(params)
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        for name, p in params.items():
-            g = grads[name]
-            decay = self.lr * self.weight_decay * p
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[name] / bc1
-            v_hat = self.v[name] / bc2
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps) + decay
+        decay = self.lr * self.weight_decay * params
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
+        m_hat = self.m / bc1
+        v_hat = self.v / bc2
+        params -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps) + decay
 
 
 # --- checkpoint container -------------------------------------------------
@@ -206,7 +210,8 @@ class AdamW:
 #   u32       UTF-8 JSON header length
 #   ...       JSON header: {"version": 1, "arch": {...}, "meta": {...},
 #                           "arrays": [{"name": str, "shape": [int, ...]}]}
-#   ...       per array, float64 C-order raw bytes, in header order
+#   ...       PriorNetwork.flat as float64 raw bytes: the arrays, each in C
+#             order, in header (= layout) order
 
 CHECKPOINT_MAGIC = b"PBCKPT1\n"
 CHECKPOINT_VERSION = 1
@@ -214,27 +219,18 @@ CHECKPOINT_VERSION = 1
 
 def save_checkpoint(path, net: PriorNetwork, meta: dict) -> None:
     """Write network parameters plus run metadata to ``path``."""
-    arch = {
-        "d_latent": net.d_latent,
-        "d_cond": net.d_cond,
-        "hidden": net.hidden,
-        "d_time": net.d_time,
-        "time_base": net.time_base,
-    }
-    names = list(_PARAM_ORDER)
     header = {
         "version": CHECKPOINT_VERSION,
-        "arch": arch,
+        "arch": net.arch,
         "meta": meta,
-        "arrays": [{"name": n, "shape": list(net.params[n].shape)} for n in names],
+        "arrays": [{"name": name, "shape": list(shape)} for name, shape in net.layout],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for n in names:
-            fh.write(np.ascontiguousarray(net.params[n], dtype="<f8").tobytes())
+        fh.write(net.flat.astype("<f8").tobytes())
 
 
 def load_checkpoint(path):
@@ -253,25 +249,19 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: truncated header")
     try:
         header = json.loads(blob[start:start + hlen].decode("utf8"))
-        version, arch, meta = header["version"], header["arch"], header["meta"]
-        net = PriorNetwork(arch["d_latent"], arch["d_cond"], hidden=arch["hidden"],
-                           d_time=arch["d_time"], time_base=arch["time_base"])
+        version, meta = header["version"], header["meta"]
+        net = PriorNetwork(**header["arch"])
         layout = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: malformed header: {exc!r}") from exc
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version!r}")
-    expected = [(name, net.params[name].shape) for name in _PARAM_ORDER]
-    if layout != expected:
+    if layout != list(net.layout):
         raise CheckpointError(
-            f"{path}: arrays {layout} do not match the architecture's {expected}")
+            f"{path}: arrays {layout} do not match the architecture's {list(net.layout)}")
     offset = start + hlen
     if len(blob) - offset != 8 * net.param_count:
         raise CheckpointError(f"{path}: array payload is {len(blob) - offset} bytes, "
                               f"expected {8 * net.param_count}")
-    for name, shape in layout:
-        count = net.params[name].size
-        data = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        net.params[name] = data.reshape(shape).astype(np.float64)
-        offset += 8 * count
+    net.flat[:] = np.frombuffer(blob, dtype="<f8", offset=offset)
     return net, meta

@@ -105,19 +105,11 @@ def flow_make_sample(x0: np.ndarray, rng: SeededRng) -> FlowSample:
 
 @dataclass
 class LossReport:
-    """Scalar loss, the four per-draw sub-losses, and parameter gradients."""
+    """Scalar loss, the four per-draw sub-losses, and the parameter gradient."""
 
     value: float
     sub_losses: np.ndarray  # [TIMESTEP_DRAWS]
-    grads: dict
-
-
-def _accumulate(total: dict | None, grads: dict) -> dict:
-    if total is None:
-        return grads
-    for name in total:
-        total[name] += grads[name]
-    return total
+    grad: np.ndarray        # laid out like PriorNetwork.flat
 
 
 def diffusion_loss(x0: np.ndarray, conds: np.ndarray, net: PriorNetwork,
@@ -134,7 +126,7 @@ def diffusion_loss(x0: np.ndarray, conds: np.ndarray, net: PriorNetwork,
     b, d = x0.shape
     steps = schedule.steps
     sub_losses = np.zeros(TIMESTEP_DRAWS)
-    grads = None
+    grad = 0.0
     for j in range(TIMESTEP_DRAWS):
         k = rng.integers(b, 1, steps)
         eps = rng.standard_normal(b, d)
@@ -143,8 +135,8 @@ def diffusion_loss(x0: np.ndarray, conds: np.ndarray, net: PriorNetwork,
         diff = pred - eps
         sub_losses[j] = np.mean(diff**2)
         dout = 2.0 * diff / (b * d * TIMESTEP_DRAWS)
-        grads = _accumulate(grads, net.backward(cache, dout))
-    return LossReport(value=float(np.mean(sub_losses)), sub_losses=sub_losses, grads=grads)
+        grad += net.backward(cache, dout)
+    return LossReport(value=float(np.mean(sub_losses)), sub_losses=sub_losses, grad=grad)
 
 
 def flow_loss(x0: np.ndarray, conds: np.ndarray, net: PriorNetwork,
@@ -155,12 +147,12 @@ def flow_loss(x0: np.ndarray, conds: np.ndarray, net: PriorNetwork,
         raise ValueError("empty batch")
     b, d = x0.shape
     sub_losses = np.zeros(TIMESTEP_DRAWS)
-    grads = None
+    grad = 0.0
     for j in range(TIMESTEP_DRAWS):
         sample = flow_make_sample(x0, rng)
         pred, cache = net.forward_cached(sample.x_t, sample.t, conds)
         diff = pred - sample.v_true
         sub_losses[j] = np.mean(diff**2)
         dout = 2.0 * diff / (b * d * TIMESTEP_DRAWS)
-        grads = _accumulate(grads, net.backward(cache, dout))
-    return LossReport(value=float(np.mean(sub_losses)), sub_losses=sub_losses, grads=grads)
+        grad += net.backward(cache, dout)
+    return LossReport(value=float(np.mean(sub_losses)), sub_losses=sub_losses, grad=grad)

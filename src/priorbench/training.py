@@ -16,7 +16,8 @@ from .data import Dataset
 from .errors import ConfigError, DivergenceError, ProtocolError
 from .evaluation import EvalSettings, evaluate
 from .metrics import EmbeddingSpace, MetricBundle
-from .network import AdamW, PriorNetwork, load_checkpoint, save_checkpoint
+from .network import (DEFAULT_HIDDEN, DEFAULT_TIME_BASE, DEFAULT_TIME_DIM, AdamW,
+                      PriorNetwork, load_checkpoint, save_checkpoint)
 from .objectives import (DEFAULT_BETA_END, DEFAULT_BETA_START,
                          DEFAULT_SCHEDULE_STEPS, build_scaled_linear_schedule,
                          diffusion_loss, flow_loss)
@@ -49,9 +50,9 @@ class TrainConfig:
     schedule_steps: int = DEFAULT_SCHEDULE_STEPS
     beta_start: float = DEFAULT_BETA_START
     beta_end: float = DEFAULT_BETA_END
-    hidden: int = 128
-    d_time: int = 16
-    time_base: float = 2.0
+    hidden: int = DEFAULT_HIDDEN
+    d_time: int = DEFAULT_TIME_DIM
+    time_base: float = DEFAULT_TIME_BASE
     eval: EvalSettings = field(default_factory=EvalSettings)
 
     def validate(self) -> None:
@@ -159,7 +160,7 @@ def train(specs: list, dataset: Dataset, config: TrainConfig, run_dir: str,
                     raise DivergenceError(
                         f"non-finite loss at epoch {epoch}, batch {b}")
                 try:
-                    opt.step(net.params, report.grads)
+                    opt.step(net.flat, report.grad)
                 except DivergenceError as exc:
                     raise DivergenceError(
                         f"optimizer diverged at epoch {epoch}, batch {b}: {exc}") from exc

@@ -143,6 +143,24 @@ def test_eval_rejects_a_config_the_checkpoint_was_not_trained_under(
     assert "task.dim" in capsys.readouterr().err
 
 
+def test_eval_config_may_change_only_how_a_run_is_scored(runs_root, tmp_path, capsys):
+    config = tmp_path / "diffusion.ini"
+    config.write_text(SMALL_CONFIG.replace("objective = flow", "objective = diffusion"))
+    assert cli_dispatch(["train", "--config", str(config), "--run-id", "diff"]) == 0
+    ckpt = str(runs_root / "diff" / "epoch-2.ckpt")
+    capsys.readouterr()
+    other = tmp_path / "other.ini"
+    other.write_text(config.read_text().replace("conditions = 3", "conditions = 4"))
+    assert cli_dispatch(["eval", "--checkpoint", ckpt, "--config", str(other)]) == 2
+    assert "task.conditions" in capsys.readouterr().err
+    # [eval] may change; the keys the file leaves out come from the manifest
+    assert cli_dispatch(["eval", "--checkpoint", ckpt]) == 0
+    own = capsys.readouterr().out
+    other.write_text("[eval]\nn_generate = 64\n")
+    assert cli_dispatch(["eval", "--checkpoint", ckpt, "--config", str(other)]) == 0
+    assert capsys.readouterr().out != own
+
+
 def test_truncated_checkpoint_is_an_error_not_a_traceback(trained_run, tmp_path,
                                                           capsys):
     run_dir, _, _ = trained_run

@@ -1,10 +1,11 @@
 """INI run configs, overrides, and run manifests."""
 
 import configparser
+import pathlib
 
 import pytest
 
-from priorbench.config import (DEFAULT_RUN_ROOT, RUN_ROOT_ENV, RunManifest,
+from priorbench.config import (DEFAULT_RUN_ROOT, RUN_ROOT_ENV, RunConfig, RunManifest,
                                load_run_config, manifest_for, resolve_run_dir,
                                run_root)
 from priorbench.data import DEFAULT_TASK_SEED
@@ -199,3 +200,13 @@ def test_manifest_for_covers_config(tmp_path):
     # identical configs yield identical hashes regardless of insert order
     again = manifest_for(cfg)
     assert again.hash() == m.hash()
+
+
+def test_readme_config_block_loads_to_the_defaults(tmp_path):
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    got = manifest_for(load_run_config(write(tmp_path, block))).sections
+    want = manifest_for(RunConfig()).sections
+    assert got["run"].pop("id") == "my-run"
+    want["run"].pop("id")
+    assert got == want

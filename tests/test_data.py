@@ -51,10 +51,10 @@ def test_mixture_covariance_law_of_total_variance():
 def test_split_sizes_and_disjointness():
     specs = make_task(4, 3, seed=1)
     ds = generate_dataset(specs, 100, seed=2)
-    assert ds.split_size("train") == 320
-    assert ds.split_size("val") == 40
-    assert ds.split_size("test") == 40
     tags = ds.split_tags
+    assert np.sum(tags == "train") == 320
+    assert np.sum(tags == "val") == 40
+    assert np.sum(tags == "test") == 40
     assert sorted(np.unique(tags)) == ["test", "train", "val"]
     assert len(tags) == 400
     # per-condition ratios hold exactly
