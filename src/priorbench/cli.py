@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bench import (SurrogatePipeline, default_step_range,
+from .bench import (PARETO_CSV_HEADER, SurrogatePipeline, default_step_range,
                     make_sampler_invocation, measure_latency, pareto_sweep)
 from .config import (MANIFEST_NAME, RunConfig, check_checkpoint, load_run_config,
                      manifest_for, resolve_run_dir)
@@ -20,7 +20,7 @@ from .network import load_checkpoint
 from .objectives import build_scaled_linear_schedule
 from .rng import SeededRng
 from .svgplot import render_line_chart, render_scatter
-from .training import train
+from .training import EPOCH_LOG_HEADER, train
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -148,6 +148,9 @@ def _cmd_bench(args) -> int:
     print(f"objective: {objective}  steps: {steps}  mode: {protocol.mode}")
     print(f"mean latency per batch: {result.mean_ms:.4g} ms "
           f"({protocol.timed} timed, {protocol.warmup} warmup)")
+    samples = result.per_iteration_ms
+    print(f"median latency per batch: {np.median(samples):.4g} ms, "
+          f"p90 {np.percentile(samples, 90):.4g} ms ({len(samples)} samples)")
     for w in result.warnings:
         print(f"warning: {w}")
     return 0
@@ -191,9 +194,45 @@ def _cmd_pareto(args) -> int:
     return 0
 
 
-def _read_csv(path: str):
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
+# Columns that are not finite floats; every other column must parse as one.
+_CSV_PARSERS = {"epoch": int, "steps": int, "objective": str}
+
+
+def _read_csv(path: str, header: str):
+    """Rows of a run CSV as dicts of parsed values.
+
+    Raises ConfigError naming the file and line on a wrong header, a row
+    with the wrong number of fields, or a value that does not parse (numeric
+    columns must hold finite floats).
+    """
+    names = header.split(",")
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for fields in reader:
+            line = reader.line_num
+            if line == 1:
+                if fields != names:
+                    raise ConfigError(f"{path}: line 1: header {','.join(fields)!r} "
+                                      f"is not {header!r}")
+                continue
+            if not fields:
+                continue
+            if len(fields) != len(names):
+                raise ConfigError(f"{path}: line {line}: expected {len(names)} fields, "
+                                  f"got {len(fields)}")
+            row = {}
+            for name, text in zip(names, fields):
+                parse = _CSV_PARSERS.get(name, float)
+                try:
+                    row[name] = parse(text)
+                    ok = parse is not float or np.isfinite(row[name])
+                except ValueError:
+                    ok = False
+                if not ok:
+                    kind = "a finite float" if parse is float else "an integer"
+                    raise ConfigError(f"{path}: line {line}: {name} = {text!r} is not {kind}")
+            rows.append(row)
     if not rows:
         raise ConfigError(f"{path}: no data rows")
     return rows
@@ -204,10 +243,10 @@ def _cmd_report(args) -> int:
     wrote = []
     log_path = os.path.join(run_dir, "epoch_log.csv")
     if os.path.exists(log_path):
-        rows = _read_csv(log_path)
-        epochs = [int(r["epoch"]) for r in rows]
+        rows = _read_csv(log_path, EPOCH_LOG_HEADER)
+        epochs = [r["epoch"] for r in rows]
         for column, label in (("fid", "validation FID"), ("loss", "training loss")):
-            series_raw = [float(r[column]) for r in rows]
+            series_raw = [r[column] for r in rows]
             smooth = ema_smooth(series_raw, span=5)
             out = os.path.join(run_dir, f"curve_{column}.svg")
             render_line_chart(
@@ -218,12 +257,12 @@ def _cmd_report(args) -> int:
             wrote.append(out)
     pareto_path = os.path.join(run_dir, "pareto.csv")
     if os.path.exists(pareto_path):
-        rows = _read_csv(pareto_path)
+        rows = _read_csv(pareto_path, PARETO_CSV_HEADER)
         groups = {}
         for r in rows:
             xs, ys = groups.setdefault(r["objective"], ([], []))
-            xs.append(float(r["latency_ms"]))
-            ys.append(float(r["fid"]))
+            xs.append(r["latency_ms"])
+            ys.append(r["fid"])
         out = os.path.join(run_dir, "pareto_scatter.svg")
         render_scatter(out, "Latency vs quality", "latency per batch (ms)",
                        "FID", groups)

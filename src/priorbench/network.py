@@ -43,9 +43,17 @@ def time_embedding(t, dim: int = DEFAULT_TIME_DIM, base: float = DEFAULT_TIME_BA
     return emb[0] if scalar else emb
 
 
-def _silu(z):
-    sig = 1.0 / (1.0 + np.exp(-z))
-    return z * sig
+def _silu(z, sig, out):
+    """``out = z * sigmoid(z)``, with ``sig`` (shaped like ``z``) as scratch.
+
+    The sigmoid is built in the order 1 / (1 + exp(-z)), so the result is
+    bit-identical to evaluating that expression with fresh temporaries.
+    """
+    np.negative(z, out=sig)
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.divide(1.0, sig, out=sig)
+    return np.multiply(z, sig, out=out)
 
 
 def _silu_grad(z):
@@ -108,35 +116,62 @@ class PriorNetwork:
                 p[...] = (rng.uniform(p.size).reshape(p.shape) * 2.0 - 1.0) * bound
         return net
 
-    def _assemble(self, x_t: np.ndarray, t: np.ndarray, cond: np.ndarray) -> np.ndarray:
+    def _assemble(self, x_t, t, cond, work: dict) -> np.ndarray:
+        """Write [latent | time features | condition] into ``work["u"]``.
+
+        Fills ``work`` with fresh activation buffers when it holds none for
+        this row count.
+        """
         x_t = np.asarray(x_t, dtype=np.float64)
         t = np.asarray(t, dtype=np.float64)
         cond = np.asarray(cond, dtype=np.float64)
         if x_t.ndim != 2 or x_t.shape[1] != self.d_latent:
             raise ValueError(f"latent batch must be [B x {self.d_latent}], got {x_t.shape}")
-        if t.shape != (x_t.shape[0],):
-            raise ValueError(f"time vector must be [B]={x_t.shape[0]}, got {t.shape}")
-        if cond.shape != (x_t.shape[0], self.d_cond):
+        b = x_t.shape[0]
+        if t.shape != (b,):
+            raise ValueError(f"time vector must be [B]={b}, got {t.shape}")
+        if cond.shape != (b, self.d_cond):
             raise ValueError(
                 f"condition batch must be [B x {self.d_cond}], got {cond.shape}")
-        t_feat = time_embedding(t, self.d_time, self.time_base)
-        return np.concatenate([x_t, t_feat, cond], axis=1)
+        if "u" not in work or work["u"].shape[0] != b:
+            work["u"] = np.empty((b, self.d_latent + self.d_time + self.d_cond))
+            for name in ("z1", "h1", "z2", "h2", "sig"):
+                work[name] = np.empty((b, self.hidden))
+        u = work["u"]
+        d, e = self.d_latent, self.d_latent + self.d_time
+        u[:, :d] = x_t
+        u[:, d:e] = time_embedding(t, self.d_time, self.time_base)
+        u[:, e:] = cond
+        return u
 
-    def forward(self, x_t: np.ndarray, t: np.ndarray, cond: np.ndarray) -> np.ndarray:
-        out, _ = self.forward_cached(x_t, t, cond)
+    def forward(self, x_t: np.ndarray, t: np.ndarray, cond: np.ndarray,
+                work: dict = None) -> np.ndarray:
+        """Network output for a batch; ``work`` as in ``forward_cached``."""
+        out, _ = self.forward_cached(x_t, t, cond, work)
         return out
 
-    def forward_cached(self, x_t, t, cond):
-        """Forward pass returning (output, cache-for-backward)."""
+    def forward_cached(self, x_t, t, cond, work: dict = None):
+        """Forward pass returning (output, cache-for-backward).
+
+        ``work`` is a dict of activation buffers owned by the caller. The
+        pass writes its activations into it, allocating them on first use or
+        when the row count changes, and returns it as the cache, so the cache
+        stays valid only until the next call with the same ``work``.  The
+        output is always a fresh array and never lives in ``work``.  With
+        ``work=None`` every call gets fresh buffers of its own.
+        """
         p = self.params
-        u = self._assemble(x_t, t, cond)
-        z1 = u @ p["w1"] + p["b1"]
-        h1 = _silu(z1)
-        z2 = h1 @ p["w2"] + p["b2"]
-        h2 = _silu(z2)
+        work = {} if work is None else work
+        u = self._assemble(x_t, t, cond, work)
+        z1, h1, z2, h2, sig = (work[name] for name in ("z1", "h1", "z2", "h2", "sig"))
+        np.matmul(u, p["w1"], out=z1)
+        z1 += p["b1"]
+        _silu(z1, sig, h1)
+        np.matmul(h1, p["w2"], out=z2)
+        z2 += p["b2"]
+        _silu(z2, sig, h2)
         out = h2 @ p["w3"] + p["b3"]
-        cache = {"u": u, "z1": z1, "h1": h1, "z2": z2, "h2": h2}
-        return out, cache
+        return out, work
 
     def backward(self, cache: dict, dout: np.ndarray) -> np.ndarray:
         """Gradient of a scalar loss w.r.t. every parameter, laid out like ``flat``.

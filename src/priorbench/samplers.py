@@ -6,6 +6,10 @@ and next retained indices, so reduced step counts stay consistent with the
 1000-step training schedule.  Flow uses deterministic fixed-step ODE
 integration (forward Euler or classical RK4) of the learned velocity field
 from t = 0 (noise) to t = 1 (data).
+
+Each sampler call allocates the network's activation buffers once, on its
+first step, and reuses them for every later step (``PriorNetwork.forward``'s
+``work``); the buffers are dropped when the call returns.
 """
 
 import time
@@ -75,13 +79,14 @@ def ddpm_ancestral_sample(net: PriorNetwork, schedule: NoiseSchedule,
             f"stride table was built for T={steps.full_steps}, schedule has T={big_t}")
     x = rng.standard_normal(b, d)
     durations = np.zeros(steps.count)
+    work = {}
     for i, k in enumerate(steps.indices):
         tick = time.perf_counter()
         abar = float(schedule.alpha_bar_at(int(k)))
         is_last = i + 1 == steps.count
         abar_next = 1.0 if is_last else float(schedule.alpha_bar_at(int(steps.indices[i + 1])))
         t_in = np.full(b, k / big_t)
-        eps_hat = net.forward(x, t_in, conds)
+        eps_hat = net.forward(x, t_in, conds, work=work)
         x0_hat = (x - np.sqrt(1.0 - abar) * eps_hat) / np.sqrt(abar)
         alpha_gap = abar / abar_next
         beta_gap = 1.0 - alpha_gap
@@ -108,9 +113,10 @@ def euler_integrate(net: PriorNetwork, count: int, conds: np.ndarray,
     b = x.shape[0]
     dt = 1.0 / count
     durations = np.zeros(count)
+    work = {}
     for i in range(count):
         tick = time.perf_counter()
-        v = net.forward(x, np.full(b, i * dt), conds)
+        v = net.forward(x, np.full(b, i * dt), conds, work=work)
         x = x + dt * v
         _check_finite(x, "euler", i)
         durations[i] = time.perf_counter() - tick
@@ -128,14 +134,15 @@ def rk4_integrate(net: PriorNetwork, count: int, conds: np.ndarray,
     b = x.shape[0]
     dt = 1.0 / count
     durations = np.zeros(count)
+    work = {}
     for i in range(count):
         tick = time.perf_counter()
         t0 = i * dt
         t_half = np.full(b, t0 + 0.5 * dt)
-        k1 = net.forward(x, np.full(b, t0), conds)
-        k2 = net.forward(x + 0.5 * dt * k1, t_half, conds)
-        k3 = net.forward(x + 0.5 * dt * k2, t_half, conds)
-        k4 = net.forward(x + dt * k3, np.full(b, t0 + dt), conds)
+        k1 = net.forward(x, np.full(b, t0), conds, work=work)
+        k2 = net.forward(x + 0.5 * dt * k1, t_half, conds, work=work)
+        k3 = net.forward(x + 0.5 * dt * k2, t_half, conds, work=work)
+        k4 = net.forward(x + dt * k3, np.full(b, t0 + dt), conds, work=work)
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         _check_finite(x, "rk4", i)
         durations[i] = time.perf_counter() - tick

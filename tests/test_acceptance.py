@@ -115,7 +115,7 @@ class _FieldStub:
         self.fn = fn
         self.d_latent = d_latent
 
-    def forward(self, x, t, conds):
+    def forward(self, x, t, conds, work=None):
         return self.fn(np.asarray(x), np.asarray(t))
 
 

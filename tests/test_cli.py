@@ -2,6 +2,7 @@
 
 import csv
 import os
+import re
 import shutil
 
 import pytest
@@ -185,6 +186,13 @@ def test_bench_reports_latency(trained_run, capsys):
     out = capsys.readouterr().out
     assert "mean latency per batch" in out
     assert "steps: 3" in out
+    # the SMALL_CONFIG protocol times 2 iterations; spread is reported beside the mean
+    spread = re.search(r"median latency per batch: (\S+) ms, p90 (\S+) ms \((\d+) samples\)",
+                       out)
+    assert spread is not None
+    median, p90, count = float(spread[1]), float(spread[2]), int(spread[3])
+    assert count == 2
+    assert 0.0 < median <= p90
 
 
 def test_pareto_writes_requested_rows(trained_run, tmp_path):
@@ -218,6 +226,23 @@ def test_report_empty_dir_is_config_error(tmp_path, capsys):
     rc = cli_dispatch(["report", "--run-dir", str(tmp_path)])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+    log_head = "epoch,loss,fid,r1,r2,r3,mm_dist,diversity,mmodality\n"
+    row = "1,0.5,3.1,0.2,0.3,0.4,1.0,1.0,1.0\n"
+    bad_files = (
+        ("epoch_log.csv", log_head + row + "2,0.4,3.", "line 3"),        # cut mid-row
+        ("epoch_log.csv", log_head + row.replace("3.1", "abc"), "line 2"),  # non-numeric
+        ("pareto.csv", "objective,steps,latency_ms,r1,r2,r3,mm_dist\n"
+                       "flow,2,1.5,0.2,0.3,0.4,1.0\n", "line 1"),       # no fid column
+    )
+    for i, (name, text, where) in enumerate(bad_files):
+        run_dir = tmp_path / f"bad{i}"
+        run_dir.mkdir()
+        (run_dir / name).write_text(text)
+        rc = cli_dispatch(["report", "--run-dir", str(run_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and name in err and where in err
+        assert not list(run_dir.glob("*.svg"))
 
 
 def test_invalid_config_value_names_field(runs_root, tmp_path, capsys):

@@ -93,6 +93,36 @@ def test_backward_matches_finite_differences():
     assert worst < 1e-6
 
 
+def test_workspace_forward_is_bit_identical_across_row_counts():
+    net = PriorNetwork.initialized(8, 8, SeededRng(12))   # default hidden and time sizes
+    rng = SeededRng(13)
+    work = {}
+    for rows in (1024, 32, 1024):
+        x = rng.standard_normal(rows, 8)
+        c = rng.standard_normal(rows, 8)
+        for t in (0.0, 0.37, 0.999, 1.0):
+            fresh = net.forward(x, np.full(rows, t), c)
+            reused = net.forward(x, np.full(rows, t), c, work=work)
+            np.testing.assert_array_equal(reused, fresh)
+            assert not any(np.shares_memory(reused, buf) for buf in work.values())
+        assert work["u"].shape[0] == rows
+
+
+def test_cache_without_work_is_untouched_by_workspace_calls():
+    net = PriorNetwork.initialized(8, 8, SeededRng(14))
+    rng = SeededRng(15)
+    x, t, c = rng.standard_normal(50, 8), rng.uniform(50), rng.standard_normal(50, 8)
+    dout = rng.standard_normal(50, 8)
+    _, cache = net.forward_cached(x, t, c)
+    before = net.backward(cache, dout)
+    work = {}
+    for rows in (50, 1024):
+        batch = (rng.standard_normal(rows, 8), rng.uniform(rows), rng.standard_normal(rows, 8))
+        net.forward(*batch, work=work)
+        net.forward(*batch)
+    np.testing.assert_array_equal(net.backward(cache, dout), before)
+
+
 def test_backward_requires_matching_dout_shape():
     net = PriorNetwork.initialized(2, 2, SeededRng(1), hidden=3, d_time=2)
     _, cache = net.forward_cached(np.zeros((4, 2)), np.zeros(4), np.zeros((4, 2)))

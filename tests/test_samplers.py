@@ -18,7 +18,7 @@ class _FieldStub:
         self.fn = fn
         self.d_latent = d_latent
 
-    def forward(self, x, t, cond):
+    def forward(self, x, t, cond, work=None):
         return self.fn(np.asarray(x), np.asarray(t))
 
 
@@ -173,7 +173,7 @@ def test_ddpm_reverses_forward_process_statistically():
     class _PointOracle:
         d_latent = 2
 
-        def forward(self, x, t, cond):
+        def forward(self, x, t, cond, work=None):
             k = np.rint(np.asarray(t) * 400).astype(np.int64)
             abar = sched.alpha_bars[k - 1][:, None]
             return (x - np.sqrt(abar) * mu) / np.sqrt(1.0 - abar)
@@ -184,3 +184,51 @@ def test_ddpm_reverses_forward_process_statistically():
     err = np.abs(out.latents.mean(axis=0) - mu)
     assert np.all(err < 0.15)
     assert out.latents.std(axis=0).max() < 0.3
+
+
+class _DropWork:
+    """The real network behind a ``forward`` that ignores ``work``, so every
+    step allocates fresh activations as a reference."""
+
+    def __init__(self, net):
+        self.net = net
+        self.d_latent = net.d_latent
+
+    def forward(self, x, t, cond, work=None):
+        return self.net.forward(x, t, cond)
+
+
+def _sampler_runs(net):
+    """Each sampler once on ``net`` at 64 rows: (name, steps, forwards per step, latents)."""
+    sched = build_scaled_linear_schedule(200, 1e-3, 2e-2)
+    conds = SeededRng(41).standard_normal(64, 8)
+    x1 = SeededRng(42).standard_normal(64, 8)
+    return (
+        ("ancestral", 7, 1, lambda: ddpm_ancestral_sample(
+            net, sched, make_strided_timesteps(200, 7), conds, SeededRng(43)).latents),
+        ("euler", 6, 1, lambda: euler_integrate(net, 6, conds, x1).latents),
+        ("rk4", 3, 4, lambda: rk4_integrate(net, 3, conds, x1).latents),
+    )
+
+
+def test_samplers_reusing_work_match_fresh_forwards():
+    net = PriorNetwork.initialized(8, 8, SeededRng(40))
+    reference = {name: run() for name, _, _, run in _sampler_runs(_DropWork(net))}
+    for name, _, _, run in _sampler_runs(net):
+        np.testing.assert_array_equal(run(), reference[name], err_msg=name)
+
+
+def test_samplers_run_one_forward_per_field_evaluation(monkeypatch):
+    net = PriorNetwork.initialized(8, 8, SeededRng(40))
+    original = PriorNetwork.forward_cached
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(PriorNetwork, "forward_cached", counted)
+    for name, steps, per_step, run in _sampler_runs(net):
+        calls.clear()
+        run()
+        assert len(calls) == steps * per_step, name
