@@ -6,7 +6,6 @@ prior pays for aggressive schedule subsampling.
 """
 
 import tempfile
-from dataclasses import replace
 
 from priorbench import (EmbeddingSpace, EvalSettings, SeededRng, TrainConfig,
                         build_scaled_linear_schedule, evaluate,
@@ -37,11 +36,10 @@ print("\nsteps   flow FID   diffusion FID")
 for steps in (2, 4, 8, 15, 25):
     row = [steps]
     for objective in ("flow", "diffusion"):
-        key = "flow_steps" if objective == "flow" else "diffusion_steps"
-        settings = replace(eval_settings, **{key: steps})
         bundle = evaluate(nets[objective], objective, space, test_x, test_labels,
                           SeededRng(99).derive("sweep", objective, steps),
-                          settings=settings, schedule=schedule)
+                          settings=eval_settings.with_steps(objective, steps),
+                          schedule=schedule)
         row.append(bundle.fid)
     print("%5d   %8.4f   %13.4f" % tuple(row))
 

@@ -25,8 +25,8 @@ from .objectives import (FlowSample, NoiseSchedule, build_scaled_linear_schedule
                          diffusion_loss, diffusion_noising, flow_loss,
                          flow_make_sample, sample_logit_normal_t)
 from .rng import SeededRng
-from .samplers import (SamplerOutput, StridedTimesteps, ddpm_ancestral_sample,
-                       euler_integrate, make_strided_timesteps, rk4_integrate)
+from .samplers import (StridedTimesteps, ddpm_ancestral_sample, euler_integrate,
+                       make_strided_timesteps, rk4_integrate)
 from .training import RunRecord, TrainConfig, select_peak_epoch, train
 
 __version__ = "0.1.0"

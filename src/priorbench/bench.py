@@ -7,7 +7,7 @@ total latency attributable to fixed components stays measurable.
 """
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -149,12 +149,14 @@ def make_sampler_invocation(net: PriorNetwork, objective: str, n_steps: int,
         strides = make_strided_timesteps(schedule.steps, n_steps)
 
         def run_prior(c):
-            return ddpm_ancestral_sample(net, schedule, strides, c, rng).latents
-    else:
+            return ddpm_ancestral_sample(net, schedule, strides, c, rng)
+    elif objective == "flow":
         x1 = rng.standard_normal(labels.shape[0], net.d_latent)
 
         def run_prior(c):
-            return euler_integrate(net, n_steps, c, x1).latents
+            return euler_integrate(net, n_steps, c, x1)
+    else:
+        raise ConfigError(f"unknown objective {objective!r}")
 
     if pipeline is None:
         return lambda: run_prior(conds)
@@ -193,13 +195,9 @@ def pareto_sweep(net: PriorNetwork, objective: str, steps, space: EmbeddingSpace
                                          rng.derive("latency", s),
                                          schedule=schedule, pipeline=pipeline)
         latency = measure_latency(invoke, protocol)
-        eval_settings = replace(
-            settings,
-            diffusion_steps=s if objective == "diffusion" else settings.diffusion_steps,
-            flow_steps=s if objective == "flow" else settings.flow_steps)
         bundle = evaluate(net, objective, space, ref_samples, ref_labels,
-                          rng.derive("quality", s), settings=eval_settings,
-                          schedule=schedule)
+                          rng.derive("quality", s),
+                          settings=settings.with_steps(objective, s), schedule=schedule)
         points.append(ParetoPoint(objective=objective, steps=s,
                                   latency_ms=latency.mean_ms, metrics=bundle))
     if csv_path is not None:

@@ -13,14 +13,14 @@ from .bench import (PARETO_CSV_HEADER, SurrogatePipeline, default_step_range,
 from .config import (MANIFEST_NAME, RunConfig, check_checkpoint, load_run_config,
                      manifest_for, resolve_run_dir)
 from .data import generate_dataset, make_task
-from .errors import ConfigError, PriorBenchError
+from .errors import CheckpointError, ConfigError, PriorBenchError
 from .evaluation import evaluate
 from .metrics import EmbeddingSpace, ema_smooth
 from .network import load_checkpoint
 from .objectives import build_scaled_linear_schedule
 from .rng import SeededRng
 from .svgplot import render_line_chart, render_scatter
-from .training import EPOCH_LOG_HEADER, train
+from .training import EPOCH_LOG_HEADER, OBJECTIVES, train
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,9 +77,11 @@ def _task_context(cfg: RunConfig):
 def _cmd_train(args) -> int:
     cfg = load_run_config(args.config, {"objective": args.objective, "seed": args.seed,
                                         "run_id": args.run_id, "epochs": args.epochs})
-    specs, dataset, space = _task_context(cfg)
     run_id = cfg.run_id or f"{cfg.objective}-s{cfg.seed}"
     run_dir = resolve_run_dir(run_id)
+    if os.path.isdir(run_dir) and os.listdir(run_dir):
+        raise ConfigError(f"run directory {run_dir} is not empty; use a new run id")
+    specs, dataset, space = _task_context(cfg)
     os.makedirs(run_dir, exist_ok=True)
     manifest_for(cfg).save(os.path.join(run_dir, MANIFEST_NAME))
     record = train(specs, dataset, cfg.training, run_dir, space=space)
@@ -102,6 +104,8 @@ def _checkpoint_context(args):
                           manifest=manifest if os.path.exists(manifest) else None)
     check_checkpoint(cfg, net, meta)
     objective = meta.get("objective", cfg.objective)
+    if objective not in OBJECTIVES:
+        raise CheckpointError(f"{args.checkpoint}: unknown objective {objective!r}")
     specs, dataset, space = _task_context(cfg)
     schedule = build_scaled_linear_schedule(cfg.training.schedule_steps,
                                             cfg.training.beta_start,
@@ -113,8 +117,7 @@ def _cmd_eval(args) -> int:
     net, meta, cfg, objective, dataset, space, schedule = _checkpoint_context(args)
     settings = cfg.training.eval
     if args.steps is not None:
-        key = "diffusion_steps" if objective == "diffusion" else "flow_steps"
-        settings = replace(settings, **{key: args.steps})
+        settings = settings.with_steps(objective, args.steps)
     test_x, test_labels = dataset.split("test")
     bundle = evaluate(net, objective, space, test_x, test_labels,
                       SeededRng(args.seed).derive("cli-eval"),
@@ -131,10 +134,7 @@ def _cmd_bench(args) -> int:
     protocol = cfg.latency
     if args.mode is not None:
         protocol = replace(protocol, mode=args.mode)
-    steps = args.steps
-    if steps is None:
-        steps = (cfg.training.eval.diffusion_steps if objective == "diffusion"
-                 else cfg.training.eval.flow_steps)
+    steps = args.steps if args.steps is not None else cfg.training.eval.steps_for(objective)
     _, test_labels = dataset.split("test")
     labels = np.resize(test_labels, protocol.batch_size)
     pipeline = None

@@ -1,6 +1,6 @@
 """End-to-end evaluation: sample from a trained prior, score in the joint space."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -11,6 +11,8 @@ from .network import PriorNetwork
 from .objectives import NoiseSchedule
 from .rng import SeededRng
 from .samplers import ddpm_ancestral_sample, euler_integrate, make_strided_timesteps
+
+OBJECTIVES = ("diffusion", "flow")
 
 
 @dataclass
@@ -28,6 +30,20 @@ class EvalSettings:
             if not isinstance(v, int) or v < 1:
                 raise ConfigError(f"eval.{name}: must be a positive integer, got {v!r}")
 
+    @staticmethod
+    def _steps_field(objective: str) -> str:
+        if objective not in OBJECTIVES:
+            raise ConfigError(f"unknown objective {objective!r}")
+        return f"{objective}_steps"
+
+    def steps_for(self, objective: str) -> int:
+        """The inference step count ``objective``'s sampler runs at."""
+        return getattr(self, self._steps_field(objective))
+
+    def with_steps(self, objective: str, steps: int) -> "EvalSettings":
+        """A copy whose step count for ``objective`` is ``steps``."""
+        return replace(self, **{self._steps_field(objective): steps})
+
 
 def generate_latents(net: PriorNetwork, objective: str, labels: np.ndarray,
                      cond_table: np.ndarray, rng: SeededRng,
@@ -39,13 +55,11 @@ def generate_latents(net: PriorNetwork, objective: str, labels: np.ndarray,
         if schedule is None:
             raise ConfigError("diffusion sampling requires a noise schedule")
         strides = make_strided_timesteps(schedule.steps, n_steps)
-        out = ddpm_ancestral_sample(net, schedule, strides, conds, rng)
-    elif objective == "flow":
+        return ddpm_ancestral_sample(net, schedule, strides, conds, rng)
+    if objective == "flow":
         x1 = rng.standard_normal(labels.shape[0], net.d_latent)
-        out = euler_integrate(net, n_steps, conds, x1)
-    else:
-        raise ConfigError(f"unknown objective {objective!r}")
-    return out.latents
+        return euler_integrate(net, n_steps, conds, x1)
+    raise ConfigError(f"unknown objective {objective!r}")
 
 
 def evaluate(net: PriorNetwork, objective: str, space: EmbeddingSpace,
@@ -64,9 +78,8 @@ def evaluate(net: PriorNetwork, objective: str, space: EmbeddingSpace,
     ref_labels = np.asarray(ref_labels, dtype=np.int64)
     n = settings.n_generate
     gen_labels = np.resize(ref_labels, n)
-    n_steps = settings.diffusion_steps if objective == "diffusion" else settings.flow_steps
-    latents = generate_latents(net, objective, gen_labels, space.cond_embeds,
-                               rng, schedule=schedule, n_steps=n_steps)
+    latents = generate_latents(net, objective, gen_labels, space.cond_embeds, rng,
+                               schedule=schedule, n_steps=settings.steps_for(objective))
     gen_emb = space.embed(latents)
     ref_emb = space.embed(ref_samples)
     r1, r2, r3 = r_precision(gen_emb, gen_labels, space.cond_embeds, rng.derive("rprec"))

@@ -61,6 +61,15 @@ def _silu_grad(z):
     return sig * (1.0 + z * (1.0 - sig))
 
 
+def _layout(d_latent, d_cond, hidden, d_time, time_base) -> tuple:
+    """``PriorNetwork(**arch).layout``, without allocating; takes exactly the
+    constructor's arguments, though ``time_base`` shapes nothing."""
+    d_in = d_latent + d_time + d_cond
+    return (("w1", (d_in, hidden)), ("b1", (hidden,)),
+            ("w2", (hidden, hidden)), ("b2", (hidden,)),
+            ("w3", (hidden, d_latent)), ("b3", (d_latent,)))
+
+
 class PriorNetwork:
     """Two-hidden-layer SiLU MLP: [latent | time features | condition] -> latent.
 
@@ -77,10 +86,7 @@ class PriorNetwork:
         self.hidden = hidden
         self.d_time = d_time
         self.time_base = time_base
-        d_in = d_latent + d_time + d_cond
-        self.layout = (("w1", (d_in, hidden)), ("b1", (hidden,)),
-                       ("w2", (hidden, hidden)), ("b2", (hidden,)),
-                       ("w3", (hidden, d_latent)), ("b3", (d_latent,)))
+        self.layout = _layout(d_latent, d_cond, hidden, d_time, time_base)
         self._blocks = []
         end = 0
         for name, shape in self.layout:
@@ -284,19 +290,25 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: truncated header")
     try:
         header = json.loads(blob[start:start + hlen].decode("utf8"))
-        version, meta = header["version"], header["meta"]
-        net = PriorNetwork(**header["arch"])
+        version, meta, arch = header["version"], header["meta"], header["arch"]
+        want = list(_layout(**arch))
+        if not all(isinstance(n, int) and n > 0 for _, shape in want for n in shape):
+            raise ValueError(f"arch {arch} does not give positive integer shapes")
+        if not isinstance(meta, dict):
+            raise ValueError(f"meta {meta!r} is not a JSON object")
+        count = sum(math.prod(shape) for _, shape in want)
         layout = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: malformed header: {exc!r}") from exc
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version!r}")
-    if layout != list(net.layout):
+    if layout != want:
         raise CheckpointError(
-            f"{path}: arrays {layout} do not match the architecture's {list(net.layout)}")
-    offset = start + hlen
-    if len(blob) - offset != 8 * net.param_count:
+            f"{path}: arrays {layout} do not match the architecture's {want}")
+    offset = start + hlen   # sizes are checked before the network is allocated
+    if len(blob) - offset != 8 * count:
         raise CheckpointError(f"{path}: array payload is {len(blob) - offset} bytes, "
-                              f"expected {8 * net.param_count}")
+                              f"expected {8 * count}")
+    net = PriorNetwork(**arch)
     net.flat[:] = np.frombuffer(blob, dtype="<f8", offset=offset)
     return net, meta

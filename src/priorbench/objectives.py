@@ -7,8 +7,9 @@ Rectified flow: regress the constant velocity x0 - x1 of the straight
 interpolation path x_t = (1 - t) x1 + t x0, with t drawn logit-normal.
 Orientation throughout: t = 0 is noise, t = 1 is data.
 
-Both losses average four independent timestep draws per batch, and reduce
-by mean over batch rows, latent dimensions, and the four draws.
+Both losses run one loop over four independent draws per batch, reduced by
+mean over batch rows, latent dimensions, and the four draws; they differ only
+in how a draw forms its (network input, time, target).
 """
 
 from dataclasses import dataclass
@@ -112,6 +113,27 @@ class LossReport:
     grad: np.ndarray        # laid out like PriorNetwork.flat
 
 
+def _loss_over_draws(x0: np.ndarray, conds: np.ndarray, net: PriorNetwork,
+                     draw) -> LossReport:
+    """MSE of ``net`` over ``TIMESTEP_DRAWS`` calls of ``draw(x0)``, each
+    returning one draw's (network input, times, target) from the objective's
+    RNG stream, in order."""
+    x0 = np.asarray(x0, dtype=np.float64)
+    if x0.shape[0] == 0:
+        raise ValueError("empty batch")
+    b, d = x0.shape
+    sub_losses = np.zeros(TIMESTEP_DRAWS)
+    grad = 0.0
+    for j in range(TIMESTEP_DRAWS):
+        x_in, t, target = draw(x0)
+        pred, cache = net.forward_cached(x_in, t, conds)
+        diff = pred - target
+        sub_losses[j] = np.mean(diff**2)
+        dout = 2.0 * diff / (b * d * TIMESTEP_DRAWS)
+        grad += net.backward(cache, dout)
+    return LossReport(value=float(np.mean(sub_losses)), sub_losses=sub_losses, grad=grad)
+
+
 def diffusion_loss(x0: np.ndarray, conds: np.ndarray, net: PriorNetwork,
                    schedule: NoiseSchedule, rng: SeededRng) -> LossReport:
     """Noise-prediction MSE averaged over four independent timestep draws.
@@ -120,39 +142,17 @@ def diffusion_loss(x0: np.ndarray, conds: np.ndarray, net: PriorNetwork,
     noise, forms x_k, and scores ||eps - net(x_k, k/T, c)||^2 averaged over
     batch rows and latent dimensions.
     """
-    x0 = np.asarray(x0, dtype=np.float64)
-    if x0.shape[0] == 0:
-        raise ValueError("empty batch")
-    b, d = x0.shape
-    steps = schedule.steps
-    sub_losses = np.zeros(TIMESTEP_DRAWS)
-    grad = 0.0
-    for j in range(TIMESTEP_DRAWS):
-        k = rng.integers(b, 1, steps)
-        eps = rng.standard_normal(b, d)
-        x_k = diffusion_noising(x0, k, eps, schedule)
-        pred, cache = net.forward_cached(x_k, k / steps, conds)
-        diff = pred - eps
-        sub_losses[j] = np.mean(diff**2)
-        dout = 2.0 * diff / (b * d * TIMESTEP_DRAWS)
-        grad += net.backward(cache, dout)
-    return LossReport(value=float(np.mean(sub_losses)), sub_losses=sub_losses, grad=grad)
+    def draw(x0):
+        k = rng.integers(x0.shape[0], 1, schedule.steps)
+        eps = rng.standard_normal(*x0.shape)
+        return diffusion_noising(x0, k, eps, schedule), k / schedule.steps, eps
+    return _loss_over_draws(x0, conds, net, draw)
 
 
 def flow_loss(x0: np.ndarray, conds: np.ndarray, net: PriorNetwork,
               rng: SeededRng) -> LossReport:
     """Velocity-regression MSE averaged over four independent (x1, t) draws."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    if x0.shape[0] == 0:
-        raise ValueError("empty batch")
-    b, d = x0.shape
-    sub_losses = np.zeros(TIMESTEP_DRAWS)
-    grad = 0.0
-    for j in range(TIMESTEP_DRAWS):
+    def draw(x0):
         sample = flow_make_sample(x0, rng)
-        pred, cache = net.forward_cached(sample.x_t, sample.t, conds)
-        diff = pred - sample.v_true
-        sub_losses[j] = np.mean(diff**2)
-        dout = 2.0 * diff / (b * d * TIMESTEP_DRAWS)
-        grad += net.backward(cache, dout)
-    return LossReport(value=float(np.mean(sub_losses)), sub_losses=sub_losses, grad=grad)
+        return sample.x_t, sample.t, sample.v_true
+    return _loss_over_draws(x0, conds, net, draw)

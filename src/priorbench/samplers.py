@@ -5,14 +5,14 @@ schedule; posterior statistics are recomputed from alpha_bar at the current
 and next retained indices, so reduced step counts stay consistent with the
 1000-step training schedule.  Flow uses deterministic fixed-step ODE
 integration (forward Euler or classical RK4) of the learned velocity field
-from t = 0 (noise) to t = 1 (data).
+from t = 0 (noise) to t = 1 (data).  Every sampler returns the generated
+latents as one [B x D] array.
 
 Each sampler call allocates the network's activation buffers once, on its
 first step, and reuses them for every later step (``PriorNetwork.forward``'s
 ``work``); the buffers are dropped when the call returns.
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,17 +45,6 @@ def make_strided_timesteps(full_steps: int, count: int) -> StridedTimesteps:
     return StridedTimesteps(full_steps=full_steps, count=count, indices=indices)
 
 
-@dataclass
-class SamplerOutput:
-    """Generated batch plus per-step wall-clock timings."""
-
-    latents: np.ndarray        # [B x D]
-    step_durations: np.ndarray  # [S] seconds
-    steps: int
-    objective: str             # "diffusion" or "flow"
-    solver: str                # "ancestral", "euler", or "rk4"
-
-
 def _check_finite(x: np.ndarray, solver: str, step: int) -> None:
     if not np.all(np.isfinite(x)):
         raise DivergenceError(f"{solver} sampling diverged at step {step}")
@@ -63,7 +52,7 @@ def _check_finite(x: np.ndarray, solver: str, step: int) -> None:
 
 def ddpm_ancestral_sample(net: PriorNetwork, schedule: NoiseSchedule,
                           steps: StridedTimesteps, conds: np.ndarray,
-                          rng: SeededRng) -> SamplerOutput:
+                          rng: SeededRng) -> np.ndarray:
     """Stochastic reverse process over the retained schedule indices.
 
     Each step predicts the noise, converts it to a clean-latent estimate,
@@ -78,10 +67,8 @@ def ddpm_ancestral_sample(net: PriorNetwork, schedule: NoiseSchedule,
         raise ConfigError(
             f"stride table was built for T={steps.full_steps}, schedule has T={big_t}")
     x = rng.standard_normal(b, d)
-    durations = np.zeros(steps.count)
     work = {}
     for i, k in enumerate(steps.indices):
-        tick = time.perf_counter()
         abar = float(schedule.alpha_bar_at(int(k)))
         is_last = i + 1 == steps.count
         abar_next = 1.0 if is_last else float(schedule.alpha_bar_at(int(steps.indices[i + 1])))
@@ -98,13 +85,11 @@ def ddpm_ancestral_sample(net: PriorNetwork, schedule: NoiseSchedule,
             var = beta_gap * (1.0 - abar_next) / (1.0 - abar)
             x = mean + np.sqrt(var) * rng.standard_normal(b, d)
         _check_finite(x, "ancestral", i)
-        durations[i] = time.perf_counter() - tick
-    return SamplerOutput(latents=x, step_durations=durations, steps=steps.count,
-                         objective="diffusion", solver="ancestral")
+    return x
 
 
 def euler_integrate(net: PriorNetwork, count: int, conds: np.ndarray,
-                    x1: np.ndarray) -> SamplerOutput:
+                    x1: np.ndarray) -> np.ndarray:
     """Fixed-step forward Euler from t = 0 to t = 1, field at left endpoints."""
     if count < 1:
         raise ConfigError(f"step count must be >= 1, got {count}")
@@ -112,20 +97,16 @@ def euler_integrate(net: PriorNetwork, count: int, conds: np.ndarray,
     x = np.asarray(x1, dtype=np.float64).copy()
     b = x.shape[0]
     dt = 1.0 / count
-    durations = np.zeros(count)
     work = {}
     for i in range(count):
-        tick = time.perf_counter()
         v = net.forward(x, np.full(b, i * dt), conds, work=work)
         x = x + dt * v
         _check_finite(x, "euler", i)
-        durations[i] = time.perf_counter() - tick
-    return SamplerOutput(latents=x, step_durations=durations, steps=count,
-                         objective="flow", solver="euler")
+    return x
 
 
 def rk4_integrate(net: PriorNetwork, count: int, conds: np.ndarray,
-                  x1: np.ndarray) -> SamplerOutput:
+                  x1: np.ndarray) -> np.ndarray:
     """Classical fourth-order Runge-Kutta; four field evaluations per step."""
     if count < 1:
         raise ConfigError(f"step count must be >= 1, got {count}")
@@ -133,10 +114,8 @@ def rk4_integrate(net: PriorNetwork, count: int, conds: np.ndarray,
     x = np.asarray(x1, dtype=np.float64).copy()
     b = x.shape[0]
     dt = 1.0 / count
-    durations = np.zeros(count)
     work = {}
     for i in range(count):
-        tick = time.perf_counter()
         t0 = i * dt
         t_half = np.full(b, t0 + 0.5 * dt)
         k1 = net.forward(x, np.full(b, t0), conds, work=work)
@@ -145,6 +124,4 @@ def rk4_integrate(net: PriorNetwork, count: int, conds: np.ndarray,
         k4 = net.forward(x + dt * k3, np.full(b, t0 + dt), conds, work=work)
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         _check_finite(x, "rk4", i)
-        durations[i] = time.perf_counter() - tick
-    return SamplerOutput(latents=x, step_durations=durations, steps=count,
-                         objective="flow", solver="rk4")
+    return x

@@ -9,12 +9,13 @@ and flow runs consume identical batches.
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, DivergenceError, ProtocolError
-from .evaluation import EvalSettings, evaluate
+from .evaluation import OBJECTIVES, EvalSettings, evaluate
 from .metrics import EmbeddingSpace, MetricBundle
 from .network import (DEFAULT_HIDDEN, DEFAULT_TIME_BASE, DEFAULT_TIME_DIM, AdamW,
                       PriorNetwork, load_checkpoint, save_checkpoint)
@@ -23,7 +24,6 @@ from .objectives import (DEFAULT_BETA_END, DEFAULT_BETA_START,
                          diffusion_loss, flow_loss)
 from .rng import SeededRng
 
-OBJECTIVES = ("diffusion", "flow")
 EPOCH_LOG_NAME = "epoch_log.csv"
 EPOCH_LOG_HEADER = "epoch,loss,fid,r1,r2,r3,mm_dist,diversity,mmodality"
 
@@ -133,7 +133,8 @@ def train(specs: list, dataset: Dataset, config: TrainConfig, run_dir: str,
                 weight_decay=config.weight_decay)
     schedule = build_scaled_linear_schedule(
         config.schedule_steps, config.beta_start, config.beta_end)
-    loss_fn = diffusion_loss if config.objective == "diffusion" else flow_loss
+    loss_fn = {"diffusion": partial(diffusion_loss, schedule=schedule),
+               "flow": flow_loss}[config.objective]
 
     train_x, train_labels = dataset.split("train")
     val_x, val_labels = dataset.split("val")
@@ -151,11 +152,7 @@ def train(specs: list, dataset: Dataset, config: TrainConfig, run_dir: str,
             for b, start in enumerate(range(0, xs.shape[0], config.batch_size)):
                 xb = xs[start:start + config.batch_size]
                 cb = cs[start:start + config.batch_size]
-                step_rng = root.derive("loss", epoch, b)
-                if config.objective == "diffusion":
-                    report = loss_fn(xb, cb, net, schedule, step_rng)
-                else:
-                    report = loss_fn(xb, cb, net, step_rng)
+                report = loss_fn(xb, cb, net, rng=root.derive("loss", epoch, b))
                 if not np.isfinite(report.value):
                     raise DivergenceError(
                         f"non-finite loss at epoch {epoch}, batch {b}")

@@ -187,16 +187,16 @@ def test_a04_single_step_integration_exactness():
     conds = np.zeros((64, 5))
     target = x0 - x1
     constant = _FieldStub(lambda x, t: np.broadcast_to(target, x.shape).copy(), 5)
-    assert np.array_equal(euler_integrate(constant, 1, conds, x1).latents, x0)
-    assert np.array_equal(rk4_integrate(constant, 1, conds, x1).latents, x0)
+    assert np.array_equal(euler_integrate(constant, 1, conds, x1), x0)
+    assert np.array_equal(rk4_integrate(constant, 1, conds, x1), x0)
 
     a = rng.standard_normal(64, 5)
     b = rng.standard_normal(64, 5)
     linear = _FieldStub(lambda x, t: a + t[:, None] * b, 5)
     exact = x1 + a + 0.5 * b
-    rk4 = rk4_integrate(linear, 1, conds, x1).latents
+    rk4 = rk4_integrate(linear, 1, conds, x1)
     assert np.max(np.abs(rk4 - exact)) < 1e-12
-    euler = euler_integrate(linear, 1, conds, x1).latents
+    euler = euler_integrate(linear, 1, conds, x1)
     assert np.max(np.abs((exact - euler) - 0.5 * b)) < 1e-12
 
 
@@ -230,6 +230,7 @@ def test_a07_retrieval_oracle_and_noise_baselines():
         assert abs(got - want) <= 0.02, f"noise baseline {got:.4f} vs {want:.4f}"
 
 
+@pytest.mark.slow
 def test_a08_both_objectives_recover_distribution_under_budget(matched_runs):
     for (objective, seed), entry in matched_runs.runs.items():
         assert entry.record.epochs_completed == 200
@@ -251,6 +252,7 @@ def _epoch_reaching_band(record) -> int:
     return int(np.argmax(curve <= 1.1 * curve[-1])) + 1
 
 
+@pytest.mark.slow
 def test_a09_flow_reaches_its_plateau_earlier(matched_runs):
     wins = 0
     for seed in MATCHED_SEEDS:
@@ -262,6 +264,7 @@ def test_a09_flow_reaches_its_plateau_earlier(matched_runs):
         f"flow converged earlier in only {wins} of {len(MATCHED_SEEDS)} pairs")
 
 
+@pytest.mark.slow
 def test_a10_flow_degrades_less_at_few_steps(matched_runs):
     within_band = 0
     flow_degrades_less = 0
@@ -321,6 +324,7 @@ def test_a12_ema_matches_independent_recursion():
         assert np.array_equal(ema_smooth(series, span=5), np.array(expect))
 
 
+@pytest.mark.slow
 def test_a13_identical_runs_write_identical_epoch_logs(matched_runs, tmp_path):
     entry = matched_runs.runs[("flow", 101)]
     dataset = generate_dataset(matched_runs.specs, N_PER_CONDITION, 101)

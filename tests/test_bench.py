@@ -153,6 +153,9 @@ def test_make_sampler_invocation_runs(bench_ctx):
     with pytest.raises(ConfigError):
         make_sampler_invocation(net, "diffusion", 3, labels, space,
                                 SeededRng(7), schedule=None)
+    with pytest.raises(ConfigError):
+        make_sampler_invocation(net, "diffusionx", 3, labels, space,
+                                SeededRng(7), schedule=schedule)
 
 
 def test_end_to_end_latency_dominates_prior_only(bench_ctx):

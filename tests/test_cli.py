@@ -1,15 +1,18 @@
 """CLI dispatch, subcommands, exit codes, and emitted artifacts."""
 
 import csv
+import json
 import os
 import re
 import shutil
+import struct
 
 import pytest
 
 from priorbench.cli import _parse_step_range, cli_dispatch
 from priorbench.config import load_run_config
 from priorbench.errors import ConfigError
+from priorbench.network import load_checkpoint, save_checkpoint
 
 SMALL_CONFIG = """
 [run]
@@ -105,6 +108,24 @@ def test_train_writes_artifacts(trained_run):
             == load_run_config(config_path, {"run_id": "smoke"}))
 
 
+def test_train_refuses_a_used_run_directory(trained_run, runs_root, capsys):
+    run_dir, config_path, _ = trained_run
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    other = run_dir.parent / "other.ini"
+    other.write_text(SMALL_CONFIG.replace("conditions = 3", "conditions = 4"))
+    rc = cli_dispatch(["train", "--config", str(other), "--run-id", "smoke",
+                       "--epochs", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(run_dir) in err
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+    # an existing but empty run directory is fine
+    (runs_root / "empty").mkdir()
+    assert cli_dispatch(["train", "--config", config_path, "--run-id", "empty",
+                         "--epochs", "1"]) == 0
+    assert (runs_root / "empty" / "epoch-1.ckpt").exists()
+
+
 def test_eval_prints_metrics(trained_run, capsys):
     run_dir, config_path, _ = trained_run
     rc = cli_dispatch(["eval", "--checkpoint", str(run_dir / "epoch-2.ckpt"),
@@ -169,6 +190,26 @@ def test_truncated_checkpoint_is_an_error_not_a_traceback(trained_run, tmp_path,
     cut.write_bytes((run_dir / "epoch-2.ckpt").read_bytes()[:100])
     assert cli_dispatch(["eval", "--checkpoint", str(cut)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    # an objective no sampler implements, beside the run's own manifest
+    net, meta = load_checkpoint(run_dir / "epoch-2.ckpt")
+    odd = run_dir / "odd.ckpt"
+    save_checkpoint(odd, net, {**meta, "objective": "diffusionx"})
+    for command in (["eval"], ["bench"], ["pareto", "--out", str(tmp_path / "sweep")]):
+        assert cli_dispatch(command + ["--checkpoint", str(odd)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "odd.ckpt" in err and "diffusionx" in err
+    assert not (tmp_path / "sweep").exists()
+    # a header stating an architecture too large to allocate
+    blob = (run_dir / "epoch-2.ckpt").read_bytes()
+    (hlen,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12:12 + hlen])
+    header["arch"]["hidden"] = 10**7
+    text = json.dumps(header).encode("utf8")
+    huge = tmp_path / "huge.ckpt"
+    huge.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + hlen:])
+    assert cli_dispatch(["eval", "--checkpoint", str(huge)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "huge.ckpt" in err and "Traceback" not in err
 
 
 def test_eval_missing_checkpoint_is_io_error(config_path, capsys):

@@ -66,3 +66,14 @@ def test_eval_settings_defaults():
     s = EvalSettings()
     assert (s.n_generate, s.diffusion_steps, s.flow_steps) == (1024, 50, 10)
     s.validate()
+
+
+def test_eval_settings_step_count_per_objective():
+    s = EvalSettings(diffusion_steps=20, flow_steps=8)
+    assert (s.steps_for("diffusion"), s.steps_for("flow")) == (20, 8)
+    assert s.with_steps("flow", 3) == EvalSettings(diffusion_steps=20, flow_steps=3)
+    assert s.with_steps("diffusion", 5) == EvalSettings(diffusion_steps=5, flow_steps=8)
+    assert s.flow_steps == 8   # the original is left as it was
+    for bad in (lambda: s.steps_for("vae"), lambda: s.with_steps("vae", 3)):
+        with pytest.raises(ConfigError):
+            bad()

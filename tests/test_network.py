@@ -226,12 +226,17 @@ def test_checkpoint_rejects_truncated_padded_and_mismatched_files(tmp_path):
     renamed["arrays"][0]["name"] = "w9"
     reshaped = json.loads(json.dumps(header))
     reshaped["arrays"][1]["shape"] = [3, 2]
+    huge = json.loads(json.dumps(header))
+    huge["arch"]["hidden"] = 10**7       # 728 TiB of parameters, if it were allocated
+    no_meta = dict(header, meta=5)
     cuts = (0, 5, 10, 12, 12 + hlen // 2, 12 + hlen, 12 + hlen + 13, len(blob) - 1)
     bad_files = [blob[:cut] for cut in cuts] + [
         blob + b"\0" * 8,                                     # over-long payload
         blob[:12] + b"\xff" * hlen + payload,                 # undecodable header
         with_header(renamed),
         with_header(reshaped),
+        with_header(huge),
+        with_header(no_meta),
     ]
     bad = tmp_path / "bad.ckpt"
     for data in bad_files:
